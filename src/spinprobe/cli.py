@@ -100,6 +100,9 @@ class RunConfig:
         return np.linspace(self.k_min, self.k_max, self.k_points)
 
 
+_PROCESS_SCHEME = {"plus": "polarimetry", "minus": "polarimetry", "homodyne": "homodyne", "limit": "limit"}
+
+
 def _parse_j(value):
     if isinstance(value, str) and "/" in value:
         num, den = value.split("/", 1)
@@ -177,13 +180,11 @@ def parse_config(path=None, overrides=None) -> RunConfig:
     # parameters and lack them fail in their own to_params() call.
     if sum(v is not None for v in (cfg.alpha, cfg.kappa, cfg.M)) >= 2:
         params = cfg.to_params()  # validates reconciliation and the time grid
-        if cfg.scheme == "polarimetry":
-            a2dt = max(params.drive_power(i * params.dt) for i in range(params.n_steps)) * params.dt
-            if a2dt > filt.JUMP_BOUND:
-                raise ConfigError(
-                    f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {filt.JUMP_BOUND} "
-                    "for the polarimetry scheme; reduce dt"
-                )
+        scheme = cfg.scheme if cfg.process is None else _PROCESS_SCHEME[cfg.process]
+        try:
+            filt.check_jump_bound(scheme, params, params.time_grid()[:-1])
+        except ValueError as exc:
+            raise ConfigError(f"{scheme} scheme: {exc}") from exc
     if cfg.outdir is None:
         cfg.outdir = os.environ.get(OUTDIR_ENV, ".")
     return cfg
@@ -279,35 +280,32 @@ def cmd_master(cfg: RunConfig, outdir, threads):
     return [path]
 
 
+def _obs_str(rec, step):
+    """The event label or dy of a record's step-th row (empty on the initial row)."""
+    if step == 0:
+        return ""
+    if rec.scheme == "polarimetry":
+        return {0: "", 1: "xi", 2: "eta"}[int(rec.events[step - 1])]
+    return _fmt(rec.dy[step - 1])
+
+
 def cmd_simulate(cfg: RunConfig, outdir, threads):
     params = cfg.to_params()
-    rho0 = cfg.initial_rho(params)
     sim = {
         "polarimetry": traj.simulate_polarimetry,
         "homodyne": traj.simulate_homodyne,
         "limit": traj.simulate_limit,
     }[cfg.scheme]
-    rec = sim(params, cfg.base_seed, rho0=rho0)
-    if cfg.mode == "linear":
-        obs = rec.events if cfg.scheme == "polarimetry" else rec.dy
-        run = filt.run_filter(cfg.scheme, "linear", params, obs, rho0=rho0)
-        loglik = run.loglik
-    else:
-        loglik = np.zeros_like(rec.t)
-    rows = []
-    for i, t in enumerate(rec.t):
-        if i == 0:
-            obs_str = ""
-        elif cfg.scheme == "polarimetry":
-            obs_str = {0: "", 1: "xi", 2: "eta"}[int(rec.events[i - 1])]
-        else:
-            obs_str = _fmt(rec.dy[i - 1])
-        rows.append((t, obs_str, rec.fx[i], rec.fz[i], rec.var_z[i], rec.purity[i], loglik[i]))
+    rec = sim(params, cfg.base_seed, rho0=cfg.initial_rho(params), keep_states=cfg.record_full_state)
+    loglik = rec.loglik if cfg.mode == "linear" else np.zeros_like(rec.t)
+    rows = [
+        (t, _obs_str(rec, i), rec.fx[i], rec.fz[i], rec.var_z[i], rec.purity[i], loglik[i])
+        for i, t in enumerate(rec.t)
+    ]
     path = os.path.join(outdir, "trajectory.csv")
     write_csv(path, ["t", "event_or_dy", "fx", "fz", "var_fz", "purity", "loglik"], rows)
     outputs = [path]
     if cfg.record_full_state:
-        rec = sim(params, cfg.base_seed, rho0=rho0, keep_states=True)
         spath = os.path.join(outdir, "states.json")
         with open(spath, "w") as fh:
             json.dump({"t": list(map(float, rec.t)), "rho": [matrix_to_json(r) for r in rec.states]}, fh)
@@ -361,24 +359,16 @@ def cmd_ensemble(cfg: RunConfig, outdir, threads, per_trajectory=None):
     if per_trajectory:
         tdir = os.path.join(outdir, per_trajectory)
         os.makedirs(tdir, exist_ok=True)
-        for i in range(cfg.N):
-            rec = traj._simulate_full(cfg.scheme, params, cfg.base_seed, rho0=rho0, traj_index=i)
-            rows = []
-            for step, t in enumerate(rec.t):
-                if step == 0:
-                    obs_str = ""
-                elif cfg.scheme == "polarimetry":
-                    obs_str = {0: "", 1: "xi", 2: "eta"}[int(rec.events[step - 1])]
-                else:
-                    obs_str = _fmt(rec.dy[step - 1])
-                rows.append((t, obs_str, rec.fx[step], rec.fz[step], rec.var_z[step], rec.purity[step]))
-            tp = os.path.join(tdir, f"trajectory_{i:05d}.csv")
-            write_csv(tp, ["t", "event_or_dy", "fx", "fz", "var_fz", "purity"], rows)
-            outputs.append(tp)
+        for indices in traj._blocks(cfg.N):
+            for rec in traj._simulate_full(cfg.scheme, params, cfg.base_seed, rho0, False, indices):
+                rows = [
+                    (t, _obs_str(rec, step), rec.fx[step], rec.fz[step], rec.var_z[step], rec.purity[step])
+                    for step, t in enumerate(rec.t)
+                ]
+                tp = os.path.join(tdir, f"trajectory_{rec.traj_index:05d}.csv")
+                write_csv(tp, ["t", "event_or_dy", "fx", "fz", "var_fz", "purity"], rows)
+                outputs.append(tp)
     return outputs
-
-
-_PROCESS_SCHEME = {"plus": "polarimetry", "minus": "polarimetry", "homodyne": "homodyne", "limit": "limit"}
 
 
 def cmd_charfunc(cfg: RunConfig, outdir, threads):

@@ -8,24 +8,31 @@ observable form.
 
 Numerical scheme
 ----------------
-All variants advance by the Euler increment of the linear filtering equation,
-evaluated at the stored unit-trace state. The per-step trace factor is the
+Each scheme has one update, :func:`increment`: the Euler increment of the
+linear filtering equation, evaluated at the stored unit-trace state, for a
+single state or a batch. :func:`finish_step` then hermitizes it, reads the
+per-step trace factor and renormalizes. The trace factor is the
 likelihood-ratio increment: the normalized filter divides it out, the linear
-filter accumulates its log (so unnormalized values never underflow). Because
-the normalized state is by construction the normalization of the linear one,
-the Kallianpur-Striebel identity pi = sigma/sigma(I) holds pathwise to
-rounding at any step size; the continuous-time limit of the update is the
-usual normalized filter SDE with its innovations term. For the counting
-scheme the drift of the constrained (no-count) evolution is already trace
-preserving, since the channel operators satisfy L_xi^2 + L_eta^2 = 2, so both
-variants literally share it.
+filter accumulates its log (so unnormalized values never underflow). The
+mode decides nothing else, so the normalized state is by construction the
+normalization of the linear one and the Kallianpur-Striebel identity
+pi = sigma/sigma(I) holds pathwise to rounding at any step size; the
+continuous-time limit of the update is the usual normalized filter SDE with
+its innovations term. For the counting scheme the drift of the constrained
+(no-count) evolution is already trace preserving, since the channel
+operators satisfy L_xi^2 + L_eta^2 = 2.
+
+:func:`step` advances one :class:`FilterState` by one observation,
+:func:`run_filter` replays a whole record, and the co-simulation engine in
+:mod:`spinprobe.trajectory` advances batches; all three go through
+:func:`increment` and :func:`finish_step`.
 
 Jump handling applies the drift over dt first, then at most one recorded
-count; the one-jump error per step is O((alpha^2 dt)^2), and the engine
-enforces alpha^2 dt <= 0.1. Diffusive steps are Euler-Maruyama with a
-post-step projection onto the positive cone whenever an eigenvalue dips
-below the floor. All step functions are pure: they return fresh states and
-broadcast over leading batch axes.
+count; the one-jump error per step is O((alpha^2 dt)^2), and
+:func:`check_jump_bound` enforces alpha^2 dt <= 0.1. Diffusive steps are
+Euler-Maruyama with a post-step projection onto the positive cone whenever
+an eigenvalue dips below the floor. All update functions are pure: they
+return fresh states.
 """
 
 from dataclasses import dataclass, replace
@@ -102,9 +109,6 @@ class FilterState:
         if isinstance(rho0, DensityState):
             rho0 = rho0.rho
         return cls(np.asarray(rho0, dtype=complex), scheme, mode, 0.0, 0.0)
-
-    def normalized_rho(self) -> np.ndarray:
-        return self.rho
 
     def expectation(self, op) -> float:
         return float(np.trace(self.rho @ op).real)
@@ -241,25 +245,32 @@ def min_eig_hermitian(rho):
 
 
 def project_positive(rho, floor: float = EPS_POS):
-    """Clip eigenvalues at zero and renormalize wherever the floor is breached."""
-    w = min_eig_hermitian(rho)
+    """Clip eigenvalues at zero and renormalize wherever one is below -floor.
+
+    min_eig_hermitian screens every state. A single state that fails the
+    screen is decided by its eigh spectrum and renormalized with np.trace
+    (the master-equation integrator calls it with floor 0); the rows of a
+    batch that fail are projected and renormalized with a diagonal sum. The
+    two paths round differently, so neither is routed through the other.
+    """
     if rho.ndim == 2:
-        if w >= -floor:
+        if min_eig_hermitian(rho) >= -floor:
             return rho
-        ww, vv = np.linalg.eigh(rho)
-        ww = np.clip(ww, 0.0, None)
-        out = (vv * ww) @ vv.conj().T
-        return out / _btrace(out)
-    bad = w < -floor
+        w, v = np.linalg.eigh(rho)
+        if w[0] >= -floor:
+            return rho
+        out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        tr = np.trace(out).real
+        if tr <= 0.0:
+            raise ValueError("state vanished under positivity projection")
+        return out / tr
+    bad = min_eig_hermitian(rho) < -floor
     if not np.any(bad):
         return rho
     rho = rho.copy()
-    sub = rho[bad]
-    ww, vv = np.linalg.eigh(sub)
-    ww = np.clip(ww, 0.0, None)
-    sub = (vv * ww[..., None, :]) @ _dagger(vv)
-    sub /= _btrace(sub)[..., None, None]
-    rho[bad] = sub
+    ww, vv = np.linalg.eigh(rho[bad])
+    sub = (vv * np.clip(ww, 0.0, None)[..., None, :]) @ _dagger(vv)
+    rho[bad] = sub / _btrace(sub)[..., None, None]
     return rho
 
 
@@ -298,106 +309,72 @@ def polarimetry_rates(state: FilterState, params: ModelParams, t: float = None):
     return float(r_xi), float(r_eta)
 
 
-def _check_obs(state, obs, params, diffusive):
+def check_jump_bound(scheme, params: ModelParams, times):
+    """Reject counting steps starting at times whose alpha(t)^2 dt exceeds JUMP_BOUND.
+
+    Whole runs pass their step grid, params.time_grid()[:-1]. The diffusive
+    schemes have no jump-step bound and always pass.
+    """
+    if scheme != "polarimetry":
+        return
+    a2dt = max(params.drive_power(t) for t in times) * params.dt
+    if a2dt > JUMP_BOUND:
+        raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
+
+
+def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
+    """Unnormalized Euler increment of the scheme's linear filter over [t, t + dt].
+
+    rho is one state (d, d) or a batch (b, d, d); obs holds the matching
+    event code(s) (0 none, 1 xi, 2 eta) for polarimetry, or the dy value(s)
+    for the diffusive schemes. A counting step applies the drift first, then
+    at most one count per state; a count with (numerically) zero probability
+    raises ValueError.
+    """
+    if scheme == "homodyne":
+        return homodyne_raw(rho, kern, params.dt, obs, params.alpha_of(t))
+    if scheme == "limit":
+        return limit_raw(rho, kern, params.dt, obs)
+    raw = pol_drift_raw(rho, kern, params.dt, params.drive_power(t))
+    obs = np.asarray(obs)
+    if not np.count_nonzero(obs):   # most steps record no count
+        return raw
+    for code, channel in ((1, "xi"), (2, "eta")):
+        hit = obs == code   # a 0-d mask selects a single state as a batch of one
+        if np.count_nonzero(hit):
+            before = raw[hit]
+            jumped = pol_jump_raw(before, kern, channel)
+            if np.any(_btrace(jumped) <= ZERO_COUNT_TOL * _btrace(before)):
+                raise ValueError(
+                    f"recorded {channel}-count has zero probability; record is inconsistent with the model"
+                )
+            raw[hit] = jumped
+    return raw
+
+
+def step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
+    """Advance a filter state by one observation step.
+
+    Both modes take the same update and keep rho at unit trace: linear mode
+    adds the log of the step's trace factor to loglik, so sigma_t =
+    exp(loglik) * rho, while normalized mode keeps loglik at 0. Its
+    continuous limit is the usual normalized filter driven by the
+    innovations (dy - 2 alpha pi(sin(kappa F_z)) dt for homodyne,
+    dy - 2 sqrt(M) pi(F_z) dt for the limit). For the counting scheme with
+    B = 0, diagonal states are exact fixed points of the drift.
+    """
+    counting = state.scheme == "polarimetry"
     if abs(obs.dt - params.dt) > 1e-12 * max(1.0, params.dt):
         raise ValueError(f"observation dt {obs.dt} does not match params.dt {params.dt}")
-    if diffusive and obs.dy is None:
-        raise ValueError("diffusive step needs an observation with dy")
-    if not diffusive and obs.dy is not None:
+    if counting and obs.dy is not None:
         raise ValueError("counting step takes an event, not dy")
-
-
-def _check_jump_step(a2, dt):
-    if a2 * dt > JUMP_BOUND:
-        raise ValueError(
-            f"alpha^2 dt = {a2 * dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt"
-        )
-
-
-def _pol_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    _check_obs(state, obs, params, diffusive=False)
-    kern = build_kernels(params)
-    a2 = params.drive_power(state.t)
-    _check_jump_step(a2, obs.dt)
-    raw = pol_drift_raw(state.rho, kern, obs.dt, a2)
-    if obs.event is not None:
-        before = float(_btrace(raw))
-        raw = pol_jump_raw(raw, kern, obs.event)
-        if _btrace(raw) <= ZERO_COUNT_TOL * before:
-            raise ValueError(
-                f"recorded {obs.event}-count has zero probability in the current state"
-            )
-    rho, tr = finish_step(raw)
-    return replace(state, rho=rho, t=state.t + obs.dt, loglik=state.loglik + float(np.log(tr)))
-
-
-def polarimetry_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    """Advance the normalized counting filter by one step.
-
-    Drift first (which is trace preserving, hence identical to the
-    renormalized no-count update), then apply at most one recorded count and
-    renormalize. Diagonal states are exact fixed points for B = 0.
-    """
-    if state.mode != "normalized":
-        raise ValueError("polarimetry_step requires a normalized-mode state")
-    out = _pol_step(state, obs, params)
-    return replace(out, loglik=0.0)
-
-
-def polarimetry_zakai_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    """Advance the linear (unnormalized) counting filter by one step.
-
-    The stored matrix keeps unit trace; the log of the running trace factor
-    accumulates in loglik, so sigma_t = exp(loglik) * rho.
-    """
-    if state.mode != "linear":
-        raise ValueError("polarimetry_zakai_step requires a linear-mode state")
-    return _pol_step(state, obs, params)
-
-
-def _diffusive_step(state, obs, params, scheme):
-    _check_obs(state, obs, params, diffusive=True)
-    kern = build_kernels(params)
-    if scheme == "homodyne":
-        raw = homodyne_raw(state.rho, kern, obs.dt, obs.dy, params.alpha_of(state.t))
-    else:
-        raw = limit_raw(state.rho, kern, obs.dt, obs.dy)
-    rho, tr = finish_step(raw)
-    return replace(state, rho=rho, t=state.t + obs.dt, loglik=state.loglik + float(np.log(tr)))
-
-
-def homodyne_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    """Advance the normalized homodyne filter by one step.
-
-    Implemented as the normalization of the linear Euler increment, which
-    keeps the Kallianpur-Striebel identity exact per step; its continuous
-    limit is the usual normalized filter driven by the innovations
-    dy - 2 alpha pi(sin(kappa F_z)) dt.
-    """
-    if state.mode != "normalized":
-        raise ValueError("homodyne_step requires a normalized-mode state")
-    out = _diffusive_step(state, obs, params, "homodyne")
-    return replace(out, loglik=0.0)
-
-
-def homodyne_zakai_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    if state.mode != "linear":
-        raise ValueError("homodyne_zakai_step requires a linear-mode state")
-    return _diffusive_step(state, obs, params, "homodyne")
-
-
-def limit_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    """Advance the normalized limit filter; innovations are dy - 2 sqrt(M) pi(F_z) dt."""
-    if state.mode != "normalized":
-        raise ValueError("limit_step requires a normalized-mode state")
-    out = _diffusive_step(state, obs, params, "limit")
-    return replace(out, loglik=0.0)
-
-
-def limit_zakai_step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
-    if state.mode != "linear":
-        raise ValueError("limit_zakai_step requires a linear-mode state")
-    return _diffusive_step(state, obs, params, "limit")
+    if not counting and obs.dy is None:
+        raise ValueError("diffusive step needs an observation with dy")
+    check_jump_bound(state.scheme, params, [state.t])
+    code = {None: 0, "xi": 1, "eta": 2}[obs.event] if counting else obs.dy
+    rho, tr = finish_step(increment(state.scheme, state.rho, code, state.t, params, build_kernels(params)))
+    loglik = state.loglik + float(np.log(tr)) if state.mode == "linear" else 0.0
+    return replace(state, rho=rho, t=state.t + obs.dt, loglik=loglik)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +411,15 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
     (0 none, 1 xi, 2 eta), or float array of dy increments for the
     diffusive schemes.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    rho = FilterState.initial(scheme, mode, params, rho0).rho
+    check_jump_bound(scheme, params, params.time_grid()[:-1])
     kern = build_kernels(params)
     n = params.n_steps
     observations = np.asarray(observations)
     if observations.shape != (n,):
         raise ValueError(f"expected {n} observation increments, got shape {observations.shape}")
-    if rho0 is None:
-        rho0 = coherent_x_state(params.space)
-    rho = rho0.rho if isinstance(rho0, DensityState) else np.asarray(rho0, dtype=complex)
+    if scheme == "polarimetry" and not np.isin(observations, (0, 1, 2)).all():
+        raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
     dt = params.dt
 
     shape = (n + 1,)
@@ -462,25 +436,7 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
         states[0] = rho
     ll = 0.0
     for i in range(n):
-        t = i * dt
-        if scheme == "polarimetry":
-            ev = int(observations[i])
-            a2 = params.drive_power(t)
-            _check_jump_step(a2, dt)
-            raw = pol_drift_raw(rho, kern, dt, a2)
-            if ev:
-                before = float(_btrace(raw))
-                raw = pol_jump_raw(raw, kern, "xi" if ev == 1 else "eta")
-                if _btrace(raw) <= ZERO_COUNT_TOL * before:
-                    raise ValueError(
-                        f"recorded count at step {i} has zero probability; "
-                        "record is inconsistent with the model"
-                    )
-        elif scheme == "homodyne":
-            raw = homodyne_raw(rho, kern, dt, float(observations[i]), params.alpha_of(t))
-        else:
-            raw = limit_raw(rho, kern, dt, float(observations[i]))
-        rho, tr = finish_step(raw)
+        rho, tr = finish_step(increment(scheme, rho, observations[i], i * dt, params, kern))
         ll += float(np.log(tr))
         fx[i + 1], fz[i + 1], fz2[i + 1], var_z[i + 1], purity[i + 1] = _moments(rho, kern)
         loglik[i + 1] = ll if mode == "linear" else 0.0

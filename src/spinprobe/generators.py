@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import SpinSpace, DensityState, make_spin_ops, EPS_POS, clip_positive
+from .spin_algebra import SpinSpace, DensityState, make_spin_ops, EPS_POS
 
 M_CONSISTENCY_TOL = 1e-12
 GRID_TOL = 1e-9
@@ -209,6 +209,8 @@ def master_evolve(rho0, params: ModelParams, generator: str = "finite"):
     -------
     (times, states) : (ndarray (n+1,), ndarray (n+1, dim, dim))
     """
+    from .filters import project_positive   # filters imports this module
+
     if isinstance(rho0, DensityState):
         rho0 = rho0.rho
     rho = _check_dim(rho0, params)
@@ -231,6 +233,6 @@ def master_evolve(rho0, params: ModelParams, generator: str = "finite"):
                 f"positivity violated at t={t + dt:.6g} (min eigenvalue {w[0]:.3e}); reduce dt"
             )
         if w[0] < 0.0:
-            rho = clip_positive(rho)
+            rho = project_positive(rho, 0.0)
         out[i + 1] = rho
     return params.time_grid(), out

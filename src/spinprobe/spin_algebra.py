@@ -159,24 +159,6 @@ class DensityState:
         return DensityState(self.rho.copy(), self.normalized)
 
 
-def clip_positive(rho: np.ndarray, eps: float = EPS_POS) -> np.ndarray:
-    """Project onto the positive cone: clip eigenvalues below 0, renormalize.
-
-    Intended for integrator drift within a few eps of the floor; trustworthy
-    states pass through untouched.
-    """
-    rho = 0.5 * (rho + rho.conj().T)
-    w, v = np.linalg.eigh(rho)
-    if w[0] >= 0.0:
-        return rho
-    w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0.0:
-        raise ValueError("state vanished under positivity projection")
-    return rho / tr
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Serialize a complex matrix as row-major [re, im] pairs."""
     m = np.asarray(m, dtype=complex)

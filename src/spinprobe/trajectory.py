@@ -4,11 +4,11 @@ Records are sampled from the filter's own predictive law: counting events
 from the state-dependent channel rates, photocurrents by adding white noise
 to the predicted drift (the innovations are Wiener increments by
 construction). Every trajectory draws exclusively from its own
-counter-based Philox stream keyed by (base_seed, trajectory_index), so runs
-are bit-identical for any batching, thread count or execution order.
-Ensemble summaries reduce per-trajectory contributions in fixed blocks of
-:data:`BLOCK` trajectories, in index order, which keeps the floating-point
-reduction tree independent of scheduling.
+counter-based Philox stream keyed by (base_seed, trajectory_index), and
+ensembles advance and reduce trajectories in fixed blocks of :data:`BLOCK`,
+in index order. Runs are therefore bit-identical for any thread count or
+execution order over that block partition; a different batching of the same
+trajectory can round differently in the last bits.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import ModelParams
-from .spin_algebra import DensityState, coherent_x_state
 from . import filters
-from .filters import build_kernels, pol_drift_raw, pol_jump_raw, homodyne_raw, limit_raw, finish_step
+from .filters import build_kernels, finish_step
+# Not called here: the benchmark tracer (perfbench/layers.py) also looks these names up in this module.
+from .filters import pol_drift_raw, pol_jump_raw, homodyne_raw, limit_raw  # noqa: F401
 
 BLOCK = 256
 RNG_NAME = "philox4x64 key=(base_seed, trajectory_index)"
@@ -97,23 +98,6 @@ class EnsembleSummary:
             name: (float(np.mean(v)), float(np.var(v, ddof=1)) if len(v) > 1 else 0.0)
             for name, v in self.terminals.items()
         }
-
-
-def _resolve_rho0(params, rho0):
-    if rho0 is None:
-        rho0 = coherent_x_state(params.space)
-    if isinstance(rho0, DensityState):
-        rho0 = rho0.rho
-    return np.asarray(rho0, dtype=complex)
-
-
-def _check_jump_bound(params):
-    a2max = max(params.drive_power(i * params.dt) for i in range(params.n_steps))
-    if a2max * params.dt > filters.JUMP_BOUND:
-        raise ValueError(
-            f"alpha^2 dt = {a2max * params.dt:.4g} exceeds the one-jump bound "
-            f"{filters.JUMP_BOUND}; reduce dt"
-        )
 
 
 class _FullCollector:
@@ -238,15 +222,6 @@ class _ReducedCollector:
         self.loglik = loglik
 
 
-def _moments_batch(rho, kern):
-    p = np.einsum("bii->bi", rho).real
-    fx = np.einsum("bij,ji->b", rho, kern.F_x).real
-    fz = p @ kern.levels
-    fz2 = p @ kern.levels**2
-    purity = np.einsum("bij,bji->b", rho, rho).real
-    return fx, fz, fz2, fz2 - fz**2, purity
-
-
 def _simulate_block(scheme, params, base_seed, indices, rho0, collector):
     """Advance a batch of trajectories; one noise draw per trajectory per step."""
     kern = build_kernels(params)
@@ -261,61 +236,42 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector):
         noise = np.stack([trajectory_rng(base_seed, i).standard_normal(n) for i in indices])
 
     loglik = np.zeros(batch)
-    collector.start(rho, _moments_batch(rho, kern))
+    collector.start(rho, filters._moments(rho, kern))
 
     sqdt = np.sqrt(dt)
     for i in range(n):
         t = i * dt
+        p = np.einsum("bii->bi", rho).real
         if scheme == "polarimetry":
             a2 = params.drive_power(t)
-            p = np.einsum("bii->bi", rho).real
             r_xi = 0.5 * a2 * (p @ kern.lxi2)
             r_eta = 0.5 * a2 * (p @ kern.leta2)
-            if a2 * dt > 1.0:
-                raise ValueError(f"total count probability alpha^2 dt = {a2 * dt} exceeds 1")
             u = noise[:, i]
             hit_xi = u < r_xi * dt
             hit_eta = (~hit_xi) & (u < (r_xi + r_eta) * dt)
-            raw = pol_drift_raw(rho, kern, dt, a2)
-            if hit_xi.any():
-                raw[hit_xi] = pol_jump_raw(raw[hit_xi], kern, "xi")
-            if hit_eta.any():
-                raw[hit_eta] = pol_jump_raw(raw[hit_eta], kern, "eta")
-            rho, tr = finish_step(raw)
-            loglik = loglik + np.log(tr)
-            ev = np.zeros(batch, dtype=np.int8)
-            ev[hit_xi] = 1
-            ev[hit_eta] = 2
-            collector.step_counting(
-                i,
-                ev,
-                hit_xi.astype(float) - r_xi * dt,
-                hit_eta.astype(float) - r_eta * dt,
-                rho,
-                _moments_batch(rho, kern),
-                loglik,
-            )
+            obs = np.zeros(batch, dtype=np.int8)
+            obs[hit_xi] = 1
+            obs[hit_eta] = 2
         else:
-            p = np.einsum("bii->bi", rho).real
             if scheme == "homodyne":
-                a_t = params.alpha_of(t)
-                pred = 2.0 * a_t * (p @ kern.s)
+                pred = 2.0 * params.alpha_of(t) * (p @ kern.s)
             else:
                 pred = 2.0 * kern.sqrt_M * (p @ kern.levels)
-            dy = pred * dt + sqdt * noise[:, i]
-            if scheme == "homodyne":
-                raw = homodyne_raw(rho, kern, dt, dy, a_t)
-            else:
-                raw = limit_raw(rho, kern, dt, dy)
-            rho, tr = finish_step(raw)
-            loglik = loglik + np.log(tr)
-            collector.step_diffusive(
-                i, dy, dy - pred * dt, rho, _moments_batch(rho, kern), loglik
-            )
+            obs = pred * dt + sqdt * noise[:, i]
+        rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
+        loglik = loglik + np.log(tr)
+        moments = filters._moments(rho, kern)
+        if scheme == "polarimetry":
+            inn_xi = hit_xi.astype(float) - r_xi * dt
+            inn_eta = hit_eta.astype(float) - r_eta * dt
+            collector.step_counting(i, obs, inn_xi, inn_eta, rho, moments, loglik)
+        else:
+            collector.step_diffusive(i, obs, obs - pred * dt, rho, moments, loglik)
     return collector
 
 
 def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollector):
+    """Per-trajectory records; their arrays are rows of the collector's, not copies."""
     n = params.n_steps
     t = params.time_grid()
     out = []
@@ -326,13 +282,13 @@ def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollec
             traj_index=idx,
             params=params,
             t=t,
-            fx=col.fx[b].copy(),
-            fz=col.fz[b].copy(),
-            fz2=col.fz2[b].copy(),
-            var_z=col.var_z[b].copy(),
-            purity=col.purity[b].copy(),
-            loglik=col.loglik[b].copy(),
-            states=None if col.states is None else col.states[b].copy(),
+            fx=col.fx[b],
+            fz=col.fz[b],
+            fz2=col.fz2[b],
+            var_z=col.var_z[b],
+            purity=col.purity[b],
+            loglik=col.loglik[b],
+            states=None if col.states is None else col.states[b],
         )
         if scheme == "polarimetry":
             ev = col.events[b]
@@ -340,34 +296,34 @@ def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollec
             n_eta = np.concatenate([[0], np.cumsum(ev == 2)]).astype(np.int64)
             alpha = params.alpha
             rec = TrajectoryRecord(
-                events=ev.copy(),
+                events=ev,
                 counts_xi=n_xi,
                 counts_eta=n_eta,
                 y_plus=(n_xi + n_eta) / alpha**2 if alpha > 0 else (n_xi + n_eta).astype(float),
                 y_minus=(n_xi - n_eta) / alpha if alpha > 0 else (n_xi - n_eta).astype(float),
-                inn_xi=col.inn_xi[b].copy(),
-                inn_eta=col.inn_eta[b].copy(),
+                inn_xi=col.inn_xi[b],
+                inn_eta=col.inn_eta[b],
                 **common,
             )
         else:
             dy = col.dy[b]
             rec = TrajectoryRecord(
-                dy=dy.copy(),
+                dy=dy,
                 y=np.concatenate([[0.0], np.cumsum(dy)]),
-                inn=col.inn[b].copy(),
+                inn=col.inn[b],
                 **common,
             )
         out.append(rec)
     return out
 
 
-def _simulate_full(scheme, params, seed, rho0=None, keep_states=False, traj_index=0):
-    if scheme == "polarimetry":
-        _check_jump_bound(params)
-    rho0 = _resolve_rho0(params, rho0)
-    col = _FullCollector(scheme, params.n_steps, 1, params.space.dim, keep_states)
-    _simulate_block(scheme, params, seed, [traj_index], rho0, col)
-    return _records_from_collector(scheme, params, seed, [traj_index], col)[0]
+def _simulate_full(scheme, params, seed, rho0, keep_states, indices):
+    """Co-simulate the trajectories in indices as one block and return their records."""
+    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
+    rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
+    col = _FullCollector(scheme, params.n_steps, len(indices), params.space.dim, keep_states)
+    _simulate_block(scheme, params, seed, indices, rho0, col)
+    return _records_from_collector(scheme, params, seed, indices, col)
 
 
 def simulate_polarimetry(params: ModelParams, seed: int, rho0=None, keep_states=False) -> TrajectoryRecord:
@@ -377,17 +333,22 @@ def simulate_polarimetry(params: ModelParams, seed: int, rho0=None, keep_states=
     the rates predicted by the current state; the filter is advanced with the
     sampled event. Identical seeds give bit-identical records.
     """
-    return _simulate_full("polarimetry", params, seed, rho0, keep_states)
+    return _simulate_full("polarimetry", params, seed, rho0, keep_states, [0])[0]
 
 
 def simulate_homodyne(params: ModelParams, seed: int, rho0=None, keep_states=False) -> TrajectoryRecord:
     """Co-simulate one homodyne record: dy = 2 alpha pi(sin(kappa F_z)) dt + dW."""
-    return _simulate_full("homodyne", params, seed, rho0, keep_states)
+    return _simulate_full("homodyne", params, seed, rho0, keep_states, [0])[0]
 
 
 def simulate_limit(params: ModelParams, seed: int, rho0=None, keep_states=False) -> TrajectoryRecord:
     """Co-simulate one strong-driving-limit record: dy = 2 sqrt(M) pi(F_z) dt + dW."""
-    return _simulate_full("limit", params, seed, rho0, keep_states)
+    return _simulate_full("limit", params, seed, rho0, keep_states, [0])[0]
+
+
+def _blocks(N):
+    """The fixed partition of trajectory indices 0..N-1 that ensembles run and reduce by."""
+    return [list(range(b, min(b + BLOCK, N))) for b in range(0, N, BLOCK)]
 
 
 def default_snapshot_indices(n_steps: int, count: int = 11) -> np.ndarray:
@@ -411,20 +372,17 @@ def run_ensemble(
     the result is a pure function of (params, scheme, N, base_seed) for any
     thread count.
     """
-    if scheme not in filters.SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if N < 1:
         raise ValueError("N must be at least 1")
-    if scheme == "polarimetry":
-        _check_jump_bound(params)
-    rho0 = _resolve_rho0(params, rho0)
+    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
+    rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     n = params.n_steps
     dim = params.space.dim
     if snapshot_indices is None:
         snapshot_indices = default_snapshot_indices(n)
     snapshot_indices = np.asarray(snapshot_indices, dtype=int)
 
-    blocks = [list(range(b, min(b + BLOCK, N))) for b in range(0, N, BLOCK)]
+    blocks = _blocks(N)
 
     def run_block(indices):
         col = _ReducedCollector(scheme, n, len(indices), dim, snapshot_indices)

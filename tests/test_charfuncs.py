@@ -163,8 +163,8 @@ def test_empirical_matches_analytic_no_coupling():
 
 def test_empirical_from_records_and_path_pairing():
     p = params_for(j=0.5, alpha=3.0, kappa=0.2, T=0.2)
-    # per-trajectory records from the same streams run_ensemble uses
-    records = [traj._simulate_full("polarimetry", p, 0, traj_index=i) for i in range(40)]
+    # per-trajectory records from the same streams and block run_ensemble uses
+    records = traj._simulate_full("polarimetry", p, 0, None, False, list(range(40)))
     k = np.array([0.5, 2.0])
     phi = empirical_charfunc(records, "minus", k)
     kf = TestFunction.constant(k[0], p.n_steps, p.dt)

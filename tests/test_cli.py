@@ -34,11 +34,21 @@ def test_parse_m_alpha_derives_kappa(tmp_path):
     assert cfg.to_params().kappa == pytest.approx(0.125, abs=1e-14)
 
 
-def test_parse_rejects_jump_bound(tmp_path):
-    path = write_config(
-        tmp_path, J=0.5, alpha=10.0, kappa=0.1, T=1.0, dt=5e-3, scheme="polarimetry"
-    )
-    with pytest.raises(ConfigError, match="one-jump bound"):
+@pytest.mark.parametrize(
+    "run, rejected",
+    [
+        (dict(scheme="polarimetry"), True),
+        (dict(process="homodyne"), False),   # the bound is the counting scheme's only
+        (dict(process="minus", scheme="homodyne"), True),   # the process decides the scheme
+    ],
+    ids=["polarimetry", "homodyne-process", "minus-process"],
+)
+def test_parse_rejects_jump_bound(tmp_path, run, rejected):
+    path = write_config(tmp_path, J=0.5, alpha=10.0, kappa=0.1, T=1.0, dt=5e-3, **run)
+    if rejected:
+        with pytest.raises(ConfigError, match="one-jump bound"):
+            parse_config(path)
+    else:
         parse_config(path)
 
 
@@ -168,6 +178,23 @@ def test_ensemble_per_trajectory_dir(tmp_path):
     assert rc == 0
     files = sorted(os.listdir(tmp_path / "paths"))
     assert files == [f"trajectory_{i:05d}.csv" for i in range(3)]
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "limit"])
+def test_per_trajectory_paths_are_the_ensemble_paths(tmp_path, scheme):
+    rc = main(
+        ["ensemble", "--J", "2", "--alpha", "3", "--kappa", "0.2", "--T", "0.1",
+         "--dt", "1e-3", "--scheme", scheme, "--N", "20", "--seed", "2",
+         "--outdir", str(tmp_path), "--per-trajectory", "paths"]
+    )
+    assert rc == 0
+    lines = open(tmp_path / "terminals.csv").read().strip().split("\n")
+    y = [float(row.split(",")[lines[0].split(",").index("y")]) for row in lines[1:]]
+    assert len(y) == 20
+    for i, y_i in enumerate(y):
+        rows = open(tmp_path / "paths" / f"trajectory_{i:05d}.csv").read().strip().split("\n")[2:]
+        dy = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.cumsum(dy)[-1] == y_i, i
 
 
 def test_config_error_exit_code(tmp_path):

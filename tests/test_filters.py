@@ -13,13 +13,8 @@ from spinprobe.filters import (
     pol_drift_raw,
     pol_jump_raw,
     polarimetry_rates,
-    polarimetry_step,
-    polarimetry_zakai_step,
-    homodyne_step,
-    homodyne_zakai_step,
-    limit_step,
-    limit_zakai_step,
     run_filter,
+    step,
 )
 
 
@@ -74,7 +69,7 @@ def test_polarimetry_count_projects_quarter_wave():
     # state leaves the top F_z level
     p = params_for(j=0.5, kappa=np.pi / 2, alpha=1.0)
     st = FilterState.initial("polarimetry", "normalized", p)
-    out = polarimetry_step(st, ObservationIncrement.count("xi", p.dt), p)
+    out = step(st, ObservationIncrement.count("xi", p.dt), p)
     assert np.max(np.abs(out.rho - np.diag([1.0, 0.0]))) < 1e-12
 
 
@@ -83,10 +78,10 @@ def test_polarimetry_diagonal_states_invariant():
     p = params_for(j=1.0, alpha=2.0, kappa=0.8)
     rho = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
     st = FilterState(rho.copy(), "polarimetry", "normalized")
-    drifted = polarimetry_step(st, ObservationIncrement.none(p.dt), p)
+    drifted = step(st, ObservationIncrement.none(p.dt), p)
     off = drifted.rho - np.diag(np.diag(drifted.rho))
     assert np.max(np.abs(off)) < 1e-15
-    jumped = polarimetry_step(st, ObservationIncrement.count("eta", p.dt), p)
+    jumped = step(st, ObservationIncrement.count("eta", p.dt), p)
     lxi, leta = l_xi_eta(p.kappa, p.space)
     oracle = leta @ rho @ leta
     oracle /= np.trace(oracle).real
@@ -114,7 +109,7 @@ def test_impossible_count_rejected():
     p = params_for(j=0.5, kappa=np.pi / 2)
     st = FilterState(fz_eigenstate(p.space, 0), "polarimetry", "normalized")
     with pytest.raises(ValueError):
-        polarimetry_step(st, ObservationIncrement.count("eta", p.dt), p)
+        step(st, ObservationIncrement.count("eta", p.dt), p)
 
 
 def test_zakai_raw_linearity():
@@ -221,7 +216,7 @@ def test_homodyne_small_kappa_moment_update():
         for g in (1.0, -0.6):
             dy = float(np.sqrt(p.dt) * g)
             st = FilterState(rho.copy(), "homodyne", "normalized")
-            out = homodyne_step(st, ObservationIncrement.diffusive(dy, p.dt), p)
+            out = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
             got = np.trace(out.rho @ fz).real - mean0
             formula = 2 * p.alpha * kappa * var0 * (dy - 2 * p.alpha * kappa * mean0 * p.dt)
             assert abs(got - formula) <= 10 * kappa**3 * (abs(dy) + p.dt)
@@ -246,7 +241,7 @@ def test_limit_estimator_driven_by_innovation_only():
     g = 0.7
     dy = 2 * np.sqrt(p.M) * mean0 * p.dt + np.sqrt(p.dt) * g
     st = FilterState(rho, "limit", "normalized")
-    out = limit_step(st, ObservationIncrement.diffusive(dy, p.dt), p)
+    out = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
     got = np.trace(out.rho @ fz).real - mean0
     dw = dy - 2 * np.sqrt(p.M) * mean0 * p.dt
     assert abs(got - 2 * np.sqrt(p.M) * var0 * dw) <= 5 * (dy**2 + p.dt)
@@ -265,7 +260,7 @@ def test_normalized_step_consistent_with_innovations_form():
         kern = build_kernels(p)
         dy = float(np.sqrt(dt) * g)
         st = FilterState(rho.copy(), "homodyne", "normalized")
-        ours = homodyne_step(st, ObservationIncrement.diffusive(dy, dt), p).rho
+        ours = step(st, ObservationIncrement.diffusive(dy, dt), p).rho
         s_exp = np.trace(rho @ np.diag(kern.s)).real
         coupling = kern.S_plus * rho - 2 * s_exp * rho
         literal = (
@@ -315,9 +310,10 @@ def test_project_positive_clips_and_renormalizes():
     from spinprobe.filters import project_positive
 
     bad = np.diag([1.05, -0.05]).astype(complex)
-    out = project_positive(bad)
-    assert np.linalg.eigvalsh(out)[0] >= 0.0
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+    for rho in (bad, np.diag([1.0 + 5e-8, -5e-8])):
+        out = project_positive(rho)
+        assert np.linalg.eigvalsh(out)[0] >= 0.0
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
     batch = np.stack([bad, np.diag([0.6, 0.4]).astype(complex)])
     out = project_positive(batch)
     assert np.min(np.linalg.eigvalsh(out)) >= 0.0
@@ -356,18 +352,13 @@ def test_count_regrouping_symmetric_identity():
 def test_mode_and_observation_validation():
     p = params_for()
     st_norm = FilterState.initial("polarimetry", "normalized", p)
-    st_lin = FilterState.initial("polarimetry", "linear", p)
     with pytest.raises(ValueError):
-        polarimetry_step(st_lin, ObservationIncrement.none(p.dt), p)
+        step(st_norm, ObservationIncrement.none(2 * p.dt), p)
     with pytest.raises(ValueError):
-        polarimetry_zakai_step(st_norm, ObservationIncrement.none(p.dt), p)
-    with pytest.raises(ValueError):
-        polarimetry_step(st_norm, ObservationIncrement.none(2 * p.dt), p)
-    with pytest.raises(ValueError):
-        polarimetry_step(st_norm, ObservationIncrement.diffusive(0.1, p.dt), p)
+        step(st_norm, ObservationIncrement.diffusive(0.1, p.dt), p)
     st_h = FilterState.initial("homodyne", "normalized", p)
     with pytest.raises(ValueError):
-        homodyne_step(st_h, ObservationIncrement.none(p.dt), p)
+        step(st_h, ObservationIncrement.none(p.dt), p)
     with pytest.raises(ValueError):
         ObservationIncrement.count("zeta", p.dt)
     with pytest.raises(ValueError):
@@ -387,7 +378,7 @@ def test_step_functions_match_run_filter():
             if ev == 0
             else ObservationIncrement.count("xi" if ev == 1 else "eta", p.dt)
         )
-        st = polarimetry_zakai_step(st, obs, p)
+        st = step(st, obs, p)
     assert np.max(np.abs(st.rho - run.states[-1])) < 1e-13
     assert st.loglik == pytest.approx(run.loglik[-1], abs=1e-12)
 
@@ -396,10 +387,10 @@ def test_step_functions_match_run_filter():
     run = run_filter("limit", "normalized", p, dys, keep_states=True)
     st = FilterState.initial("limit", "normalized", p)
     for dy in dys:
-        st = limit_step(st, ObservationIncrement.diffusive(dy, p.dt), p)
+        st = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
     assert np.max(np.abs(st.rho - run.states[-1])) < 1e-13
     run = run_filter("homodyne", "linear", p, dys, keep_states=True)
     st = FilterState.initial("homodyne", "linear", p)
     for dy in dys:
-        st = homodyne_zakai_step(st, ObservationIncrement.diffusive(dy, p.dt), p)
+        st = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
     assert np.max(np.abs(st.rho - run.states[-1])) < 1e-13

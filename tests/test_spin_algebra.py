@@ -8,7 +8,6 @@ from spinprobe.spin_algebra import (
     op_function,
     l_xi_eta,
     coherent_x_state,
-    clip_positive,
     matrix_to_json,
     matrix_from_json,
 )
@@ -149,13 +148,6 @@ def test_density_state_validation():
     DensityState(np.diag([0.7, 0.7]), normalized=False)
     with pytest.raises(ValueError):
         DensityState(np.diag([0.0, 0.0]), normalized=False)
-
-
-def test_clip_positive():
-    rho = np.diag([1.0 + 5e-8, -5e-8])
-    out = clip_positive(rho)
-    assert np.linalg.eigvalsh(out)[0] >= 0.0
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_matrix_serialization_roundtrip():
