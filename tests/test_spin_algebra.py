@@ -150,6 +150,17 @@ def test_density_state_validation():
         DensityState(np.diag([0.0, 0.0]), normalized=False)
 
 
+def test_clip_positive():
+    # The master-equation integrator clips integrator drift through
+    # project_positive with floor 0.
+    from spinprobe.filters import project_positive
+
+    rho = np.diag([1.0 + 5e-8, -5e-8])
+    out = project_positive(rho, 0.0)
+    assert np.linalg.eigvalsh(out)[0] >= 0.0
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+
+
 def test_matrix_serialization_roundtrip():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
