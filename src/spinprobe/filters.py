@@ -8,36 +8,56 @@ observable form.
 
 Numerical scheme
 ----------------
-Each scheme has one update, :func:`increment`: the Euler increment of the
-linear filtering equation, evaluated at the stored unit-trace state, for a
+Each scheme has one update, :func:`increment`: the linear filtering
+equation integrated over one step given the recorded observation, for a
 single state or a batch. :func:`finish_step` then hermitizes it, reads the
 per-step trace factor and renormalizes. The trace factor is the
 likelihood-ratio increment: the normalized filter divides it out, the linear
 filter accumulates its log (so unnormalized values never underflow). The
 mode decides nothing else, so the normalized state is by construction the
 normalization of the linear one and the Kallianpur-Striebel identity
-pi = sigma/sigma(I) holds pathwise to rounding at any step size; the
-continuous-time limit of the update is the usual normalized filter SDE with
-its innovations term. For the counting scheme the drift of the constrained
-(no-count) evolution is already trace preserving, since the channel
-operators satisfy L_xi^2 + L_eta^2 = 2.
+pi = sigma/sigma(I) holds pathwise to rounding at any step size.
+
+Without a field (B = 0) every generator is elementwise in the F_z basis, so
+each entry sigma_ij solves a scalar linear SDE and the step is its exact
+solution:
+
+* limit: sigma <- h sigma h, h = exp(-M dt F_z^2 + sqrt(M) dy F_z);
+* homodyne: sigma <- C o (g sigma g), with C = exp(a^2 dt (c c^T - 1))
+  elementwise, g = exp(-a^2 dt s^2 / 2 + a dy s), a = alpha(t),
+  c = cos(kappa m), s = sin(kappa m);
+* counting: the no-count drift is the identity, since the channel operators
+  satisfy L_xi^2 + L_eta^2 = 2, and a count multiplies by L_a sigma L_a.
+
+The diagonal congruences are positive, and C is positive semidefinite (the
+elementwise exponential of a rank-one PSD matrix), so by the Schur product
+theorem every step maps positive states to positive states. A field B F_y
+enters through U_1/2 = exp(-i B F_y dt / 2): the diffusive steps are
+Strang-split as U_1/2 D(U_1/2 sigma U_1/2^dagger) U_1/2^dagger around the
+diagonal step D, and the counting step rotates by U = U_1/2^2 before the
+count. The steps are therefore exact for B = 0 and positive for any B; no
+state is screened or projected. The eigenvalue floor and
+:func:`project_positive` serve only the master-equation integrator
+:func:`spinprobe.generators.master_evolve`.
 
 :func:`step` advances one :class:`FilterState` by one observation,
 :func:`run_filter` replays a whole record, and the co-simulation engine in
 :mod:`spinprobe.trajectory` advances batches; all three go through
-:func:`increment` and :func:`finish_step`.
+:func:`increment` and :func:`finish_step`, with the kernels of
+:func:`build_kernels`, built once per parameter set.
 
-Jump handling applies the drift over dt first, then at most one recorded
-count; the one-jump error per step is O((alpha^2 dt)^2), and
-:func:`check_jump_bound` enforces alpha^2 dt <= 0.1. Diffusive steps are
-Euler-Maruyama with a post-step projection onto the positive cone whenever
-an eigenvalue dips below the floor. All update functions are pure: they
-return fresh states.
+A counting step applies at most one recorded count; the one-jump error per
+step is O((alpha^2 dt)^2), and :func:`check_jump_bound` enforces
+alpha^2 dt <= 0.1. All update functions are pure: they return fresh states.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
+from scipy.linalg import expm
 
 from .spin_algebra import DensityState, make_spin_ops, coherent_x_state, EPS_POS
 from .generators import ModelParams
@@ -116,29 +136,29 @@ class FilterState:
 
 @dataclass(frozen=True)
 class FilterKernels:
-    """Precomputed F_z-basis arrays; everything but the B term is elementwise."""
+    """Read-only F_z-basis arrays of one parameter set; only the field rotations are not elementwise."""
 
     dim: int
-    levels: np.ndarray        # F_z eigenvalues, descending
+    dt: float
+    levels: np.ndarray        # F_z eigenvalues m, descending
     c: np.ndarray             # cos(kappa m)
     s: np.ndarray             # sin(kappa m)
     lxi2: np.ndarray          # (c+s)^2 diagonal of L_xi^2
     leta2: np.ndarray         # (c-s)^2
     K_xi: np.ndarray          # outer(c+s, c+s): count-update mask
     K_eta: np.ndarray
-    E_lind: np.ndarray        # c_i c_j + s_i s_j - 1: finite-drive dephasing mask
-    E_limit: np.ndarray       # -(m_i - m_j)^2 / 2: limit dephasing mask
-    S_plus: np.ndarray        # s_i + s_j: homodyne coupling mask
-    Z_plus: np.ndarray        # m_i + m_j: limit coupling mask
+    C: Mapping                # alpha -> exp(alpha^2 dt (c c^T - 1)): homodyne Schur factor
+    U: np.ndarray             # exp(-i B F_y dt); None for B = 0
+    U_half: np.ndarray        # exp(-i B F_y dt / 2); None for B = 0
     F_x: np.ndarray
-    F_y: np.ndarray
     F_z: np.ndarray
-    B: float
     M: float
     sqrt_M: float
 
 
+@lru_cache(maxsize=64)
 def build_kernels(params: ModelParams) -> FilterKernels:
+    """The kernels of params, built once per distinct ModelParams and shared read-only."""
     space = params.space
     m = space.fz_levels()
     c = np.cos(params.kappa * m)
@@ -146,8 +166,15 @@ def build_kernels(params: ModelParams) -> FilterKernels:
     lxi = c + s
     leta = c - s
     f_x, f_y, f_z = make_spin_ops(space)
-    return FilterKernels(
+    drives = {params.alpha} | {a for _, a in params.alpha_schedule or ()}
+    C = {a: np.exp(a * a * params.dt * (np.outer(c, c) - 1.0)) for a in drives}
+    U = U_half = None
+    if params.B != 0.0:
+        U = expm(-1j * params.B * params.dt * f_y)
+        U_half = expm(-0.5j * params.B * params.dt * f_y)
+    kern = FilterKernels(
         dim=space.dim,
+        dt=params.dt,
         levels=m,
         c=c,
         s=s,
@@ -155,17 +182,18 @@ def build_kernels(params: ModelParams) -> FilterKernels:
         leta2=leta**2,
         K_xi=np.outer(lxi, lxi).astype(complex),
         K_eta=np.outer(leta, leta).astype(complex),
-        E_lind=(np.outer(c, c) + np.outer(s, s) - 1.0).astype(complex),
-        E_limit=(-0.5 * np.subtract.outer(m, m) ** 2).astype(complex),
-        S_plus=np.add.outer(s, s).astype(complex),
-        Z_plus=np.add.outer(m, m).astype(complex),
+        C=MappingProxyType(C),
+        U=U,
+        U_half=U_half,
         F_x=f_x,
-        F_y=f_y,
         F_z=f_z,
-        B=params.B,
         M=params.M,
         sqrt_M=np.sqrt(params.M),
     )
+    for arr in (*vars(kern).values(), *C.values()):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return kern
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +208,40 @@ def _btrace(rho):
     return np.einsum("...ii->...", rho).real
 
 
-def lindblad_mask_apply(sigma, kern: FilterKernels, a2):
-    """Finite-drive L*(sigma); a2 = |f(t)|^2 (scalar or batch-shaped)."""
-    out = _scale(a2, kern.E_lind * sigma)
-    if kern.B != 0.0:
-        out = out - 1j * kern.B * (kern.F_y @ sigma - sigma @ kern.F_y)
-    return out
+def _rotate(sigma, u):
+    return u @ sigma @ _dagger(u)
 
 
-def limit_mask_apply(sigma, kern: FilterKernels):
-    out = kern.M * (kern.E_limit * sigma)
-    if kern.B != 0.0:
-        out = out - 1j * kern.B * (kern.F_y @ sigma - sigma @ kern.F_y)
-    return out
+def _check_dt(kern: FilterKernels, dt):
+    if dt != kern.dt:
+        raise ValueError(f"step dt {dt} does not match the kernels' dt {kern.dt}")
 
 
-def _scale(a, arr):
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return a * arr
-    return a[..., None, None] * arr
+def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
+    """sigma_ij <- schur_ij g_i sigma_ij g_j, Strang-split around the field rotation.
+
+    g is (d,) or one row per state; schur, if given, is a PSD matrix, so by
+    the Schur product theorem the step maps positive states to positive states.
+    """
+    G = g[..., :, None] * g[..., None, :]
+    if schur is not None:
+        G *= schur
+    if kern.U_half is None:
+        return G * sigma
+    return _rotate(G * _rotate(sigma, kern.U_half), kern.U_half)
 
 
 def pol_drift_raw(sigma, kern: FilterKernels, dt, a2):
-    """No-count Euler drift of the counting Zakai equation (linear in sigma).
+    """No-count evolution of the counting Zakai equation over dt (linear in sigma).
 
-    sigma + L*(sigma) dt - sum_a (L_a sigma L_a - sigma) |f|^2/2 dt. The
-    gauge structure makes this trace preserving; with B = 0 it reduces to
-    the identity, so between counts nothing happens.
+    Its dissipative terms cancel for every drive power a2, because
+    L_xi^2 + L_eta^2 = 2, so the step is exactly the field rotation
+    U sigma U^dagger: a fresh copy of sigma for B = 0.
     """
-    both = (kern.K_xi + kern.K_eta) * sigma - 2.0 * sigma
-    return sigma + dt * lindblad_mask_apply(sigma, kern, a2) - _scale(0.5 * np.asarray(a2) * dt, both)
+    _check_dt(kern, dt)
+    if kern.U is None:
+        return np.array(sigma, dtype=complex)
+    return _rotate(sigma, kern.U)
 
 
 def pol_jump_raw(sigma, kern: FilterKernels, channel: str):
@@ -220,15 +251,27 @@ def pol_jump_raw(sigma, kern: FilterKernels, channel: str):
 
 
 def homodyne_raw(sigma, kern: FilterKernels, dt, dy, a_t):
-    """Euler increment of the homodyne Zakai equation (linear in sigma)."""
-    coupling = _scale(np.asarray(a_t) * np.asarray(dy), kern.S_plus * sigma)
-    return sigma + dt * lindblad_mask_apply(sigma, kern, np.asarray(a_t) ** 2) + coupling
+    """Exact homodyne Zakai step over dt (linear in sigma); dy is a scalar or one value per state.
+
+    For B = 0 each entry solves a scalar linear SDE, so
+    sigma <- C o (g sigma g) with C = exp(a^2 dt (c c^T - 1)) taken
+    elementwise and g = exp(-a^2 dt s^2 / 2 + a dy s).
+    """
+    _check_dt(kern, dt)
+    g = np.exp(a_t * (np.asarray(dy)[..., None] * kern.s - 0.5 * a_t * dt * kern.s**2))
+    return _diagonal_step(sigma, kern, g, kern.C[a_t])
 
 
 def limit_raw(sigma, kern: FilterKernels, dt, dy):
-    """Euler increment of the limit Zakai equation (linear in sigma)."""
-    coupling = _scale(kern.sqrt_M * np.asarray(dy), kern.Z_plus * sigma)
-    return sigma + dt * limit_mask_apply(sigma, kern) + coupling
+    """Exact limit Zakai step over dt (linear in sigma); dy is a scalar or one value per state.
+
+    For B = 0 it is the diagonal congruence sigma <- h sigma h with
+    h = exp(-M dt F_z^2 + sqrt(M) dy F_z).
+    """
+    _check_dt(kern, dt)
+    m = kern.levels
+    h = np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * m - kern.M * dt * m**2)
+    return _diagonal_step(sigma, kern, h)
 
 
 def min_eig_hermitian(rho):
@@ -247,11 +290,12 @@ def min_eig_hermitian(rho):
 def project_positive(rho, floor: float = EPS_POS):
     """Clip eigenvalues at zero and renormalize wherever one is below -floor.
 
-    min_eig_hermitian screens every state. A single state that fails the
-    screen is decided by its eigh spectrum and renormalized with np.trace
-    (the master-equation integrator calls it with floor 0); the rows of a
-    batch that fail are projected and renormalized with a diagonal sum. The
-    two paths round differently, so neither is routed through the other.
+    The filter steps are positive by construction and never call this; the
+    master-equation integrator does, with floor 0. min_eig_hermitian screens
+    every state. A single state that fails the screen is decided by its eigh
+    spectrum and renormalized with np.trace; the rows of a batch that fail
+    are projected and renormalized with a diagonal sum. The two paths round
+    differently, so neither is routed through the other.
     """
     if rho.ndim == 2:
         if min_eig_hermitian(rho) >= -floor:
@@ -274,18 +318,17 @@ def project_positive(rho, floor: float = EPS_POS):
     return rho
 
 
-def finish_step(raw, project: bool = True):
-    """Hermitize, read the trace factor, renormalize, optionally project.
+def finish_step(raw):
+    """Hermitize, read the trace factor and renormalize.
 
-    Returns (state matrix with unit trace, trace factor).
+    Returns (state matrix with unit trace, trace factor). The updates are
+    positive by construction, so nothing is screened or projected here.
     """
-    raw = 0.5 * (raw + _dagger(raw))
-    tr = _btrace(raw)
+    out = raw + _dagger(raw)
+    tr = 0.5 * _btrace(out)
     if np.any(tr <= 0.0):
         raise ValueError("filter trace vanished; record is inconsistent with the model")
-    out = raw / (tr[..., None, None] if raw.ndim > 2 else tr)
-    if project:
-        out = project_positive(out)
+    out *= 0.5 / (tr[..., None, None] if out.ndim > 2 else tr)
     return out, tr
 
 
@@ -323,13 +366,13 @@ def check_jump_bound(scheme, params: ModelParams, times):
 
 
 def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
-    """Unnormalized Euler increment of the scheme's linear filter over [t, t + dt].
+    """Unnormalized step of the scheme's linear filter over [t, t + dt] (see the module notes).
 
     rho is one state (d, d) or a batch (b, d, d); obs holds the matching
     event code(s) (0 none, 1 xi, 2 eta) for polarimetry, or the dy value(s)
-    for the diffusive schemes. A counting step applies the drift first, then
-    at most one count per state; a count with (numerically) zero probability
-    raises ValueError.
+    for the diffusive schemes. A counting step applies the no-count
+    evolution first, then at most one count per state; a count with
+    (numerically) zero probability raises ValueError.
     """
     if scheme == "homodyne":
         return homodyne_raw(rho, kern, params.dt, obs, params.alpha_of(t))

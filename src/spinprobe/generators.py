@@ -7,6 +7,7 @@ field enters as the Hamiltonian B*F_y with Heisenberg sign i*B*[F_y, X].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class ModelParams:
         space = SpinSpace.from_j(j)
         return cls(space.twice_j, float(alpha), float(kappa), **kwargs)
 
-    @property
+    @cached_property
     def space(self) -> SpinSpace:
         return SpinSpace(self.twice_j)
 

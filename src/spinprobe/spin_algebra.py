@@ -12,7 +12,8 @@ import numpy as np
 from scipy.linalg import expm
 
 # Eigenvalue floor tolerated on density matrices before validation fails.
-# Integrator drift below the floor is clipped and renormalized instead.
+# The master-equation integrator clips its drift within the floor and
+# renormalizes; the filter steps are positive by construction.
 EPS_POS = 1e-9
 TRACE_TOL = 1e-10
 

@@ -249,7 +249,7 @@ def test_limit_estimator_driven_by_innovation_only():
 
 def test_normalized_step_consistent_with_innovations_form():
     # one Euler step of the innovations-form normalized equation differs
-    # from the normalization of the linear step by O(dt) only
+    # from the normalization of the exact linear step by O(dt) only
     p0 = dict(j=1.0, alpha=2.0, kappa=0.5)
     rng = np.random.default_rng(8)
     rho = random_density(SpinSpace.from_j(1.0), rng).rho
@@ -262,7 +262,7 @@ def test_normalized_step_consistent_with_innovations_form():
         st = FilterState(rho.copy(), "homodyne", "normalized")
         ours = step(st, ObservationIncrement.diffusive(dy, dt), p).rho
         s_exp = np.trace(rho @ np.diag(kern.s)).real
-        coupling = kern.S_plus * rho - 2 * s_exp * rho
+        coupling = np.add.outer(kern.s, kern.s) * rho - 2 * s_exp * rho
         literal = (
             rho
             + lindblad_schrodinger(rho, p) * dt
@@ -272,6 +272,64 @@ def test_normalized_step_consistent_with_innovations_form():
         diffs.append(np.max(np.abs(ours - literal)))
     assert diffs[0] / diffs[1] == pytest.approx(10.0, rel=0.3)
     assert diffs[1] / diffs[2] == pytest.approx(10.0, rel=0.3)
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "limit"])
+@pytest.mark.parametrize("j", [0.5, 2.0, 5.0])
+def test_exact_linear_filter_closed_form(scheme, j):
+    # for B = 0 the linear filter is a function of the integrated record Y_T
+    # alone; the stepped filter must reproduce it to rounding after 1000 steps
+    p = params_for(j=j, alpha=3.0, kappa=0.2, dt=1e-3, T=1.0)
+    rng = np.random.default_rng(13)
+    rho0 = random_density(p.space, rng).rho
+    dy = 0.5 * p.dt + np.sqrt(p.dt) * rng.standard_normal(p.n_steps)
+    y, t = dy.sum(), p.T
+    m = p.space.fz_levels()
+    if scheme == "limit":
+        d = np.exp(-p.M * m**2 * t + np.sqrt(p.M) * m * y)
+        sigma = d[:, None] * rho0 * d[None, :]
+    else:
+        a, c, s = p.alpha, np.cos(p.kappa * m), np.sin(p.kappa * m)
+        g = np.exp(-0.5 * a**2 * t * s**2 + a * y * s)
+        sigma = np.exp(a**2 * t * (np.outer(c, c) - 1.0)) * (g[:, None] * rho0 * g[None, :])
+    tr = np.trace(sigma).real
+    run = run_filter(scheme, "linear", p, dy, rho0=rho0, keep_states=True)
+    assert np.max(np.abs(run.states[-1] - sigma / tr)) < 1e-12
+    assert abs(run.loglik[-1] - np.log(tr)) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
+@pytest.mark.parametrize("j,B", [(5.0, 0.0), (2.0, 0.5)])
+def test_filter_steps_positive_without_projection(scheme, j, B, monkeypatch):
+    # the filter path never screens or projects; positivity comes from the step itself
+    from spinprobe import filters
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the filter path screened or projected a state")
+
+    monkeypatch.setattr(filters, "project_positive", forbidden)
+    monkeypatch.setattr(filters, "min_eig_hermitian", forbidden)
+    p = params_for(j=j, alpha=4.0, kappa=0.25, B=B, dt=1e-3, T=0.1)
+    rho0 = coherent_x_state(p.space).rho
+    col = traj._FullCollector(scheme, p.n_steps, 20, p.space.dim, True)
+    traj._simulate_block(scheme, p, base_seed=3, indices=list(range(20)), rho0=rho0, collector=col)
+    assert np.min(np.linalg.eigvalsh(col.states)) >= -1e-12
+    obs = col.events if scheme == "polarimetry" else col.dy
+    for b in range(3):
+        run = run_filter(scheme, "linear", p, obs[b], rho0=rho0, keep_states=True)
+        assert np.min(np.linalg.eigvalsh(run.states)) >= -1e-12
+
+
+def test_kernels_built_once_and_read_only():
+    p = params_for(j=2.0, alpha=3.0, kappa=0.2, B=0.5)
+    assert p.space is p.space
+    kern = build_kernels(p)
+    assert build_kernels(params_for(j=2.0, alpha=3.0, kappa=0.2, B=0.5)) is kern
+    for arr in (kern.K_xi, kern.levels, kern.U_half, kern.C[p.alpha]):
+        with pytest.raises(ValueError):
+            arr[0, ...] = 0.0
+    with pytest.raises(TypeError):
+        kern.C[p.alpha + 1.0] = kern.C[p.alpha]
 
 
 # ---------------------------------------------------------------------------
