@@ -40,9 +40,10 @@ state is screened or projected. The eigenvalue floor and
 :func:`project_positive` serve only the master-equation integrator
 :func:`spinprobe.generators.master_evolve`.
 
-:func:`step` advances one :class:`FilterState` by one observation,
-:func:`run_filter` replays a whole record, and the co-simulation engine in
-:mod:`spinprobe.trajectory` advances batches; all three go through
+:func:`step` advances one :class:`FilterState` by one observation; every
+run along the time grid goes through the one propagation loop of
+:mod:`spinprobe.trajectory`, which co-simulates batches and also replays a
+given record for :func:`run_filter` (as a batch of one). Both apply
 :func:`increment` and :func:`finish_step`, with the kernels of
 :func:`build_kernels`, built once per parameter set.
 
@@ -201,7 +202,7 @@ def build_kernels(params: ModelParams) -> FilterKernels:
 # ---------------------------------------------------------------------------
 
 def _dagger(rho):
-    return np.conj(np.swapaxes(rho, -1, -2))
+    return rho.swapaxes(-1, -2).conj()
 
 
 def _btrace(rho):
@@ -231,10 +232,10 @@ def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
     return _rotate(G * _rotate(sigma, kern.U_half), kern.U_half)
 
 
-def pol_drift_raw(sigma, kern: FilterKernels, dt, a2):
+def pol_drift_raw(sigma, kern: FilterKernels, dt):
     """No-count evolution of the counting Zakai equation over dt (linear in sigma).
 
-    Its dissipative terms cancel for every drive power a2, because
+    Its dissipative terms cancel for every drive power, because
     L_xi^2 + L_eta^2 = 2, so the step is exactly the field rotation
     U sigma U^dagger: a fresh copy of sigma for B = 0.
     """
@@ -288,34 +289,22 @@ def min_eig_hermitian(rho):
 
 
 def project_positive(rho, floor: float = EPS_POS):
-    """Clip eigenvalues at zero and renormalize wherever one is below -floor.
+    """Clip the eigenvalues of one state at zero and renormalize if one is below -floor.
 
     The filter steps are positive by construction and never call this; the
     master-equation integrator does, with floor 0. min_eig_hermitian screens
-    every state. A single state that fails the screen is decided by its eigh
-    spectrum and renormalized with np.trace; the rows of a batch that fail
-    are projected and renormalized with a diagonal sum. The two paths round
-    differently, so neither is routed through the other.
+    the state; one that fails is decided by its eigh spectrum.
     """
-    if rho.ndim == 2:
-        if min_eig_hermitian(rho) >= -floor:
-            return rho
-        w, v = np.linalg.eigh(rho)
-        if w[0] >= -floor:
-            return rho
-        out = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        tr = np.trace(out).real
-        if tr <= 0.0:
-            raise ValueError("state vanished under positivity projection")
-        return out / tr
-    bad = min_eig_hermitian(rho) < -floor
-    if not np.any(bad):
+    if min_eig_hermitian(rho) >= -floor:
         return rho
-    rho = rho.copy()
-    ww, vv = np.linalg.eigh(rho[bad])
-    sub = (vv * np.clip(ww, 0.0, None)[..., None, :]) @ _dagger(vv)
-    rho[bad] = sub / _btrace(sub)[..., None, None]
-    return rho
+    w, v = np.linalg.eigh(rho)
+    if w[0] >= -floor:
+        return rho
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    tr = np.trace(out).real
+    if tr <= 0.0:
+        raise ValueError("state vanished under positivity projection")
+    return out / tr
 
 
 def finish_step(raw):
@@ -326,7 +315,7 @@ def finish_step(raw):
     """
     out = raw + _dagger(raw)
     tr = 0.5 * _btrace(out)
-    if np.any(tr <= 0.0):
+    if not (tr > 0.0).all():   # also catches a NaN trace
         raise ValueError("filter trace vanished; record is inconsistent with the model")
     out *= 0.5 / (tr[..., None, None] if out.ndim > 2 else tr)
     return out, tr
@@ -378,7 +367,7 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
         return homodyne_raw(rho, kern, params.dt, obs, params.alpha_of(t))
     if scheme == "limit":
         return limit_raw(rho, kern, params.dt, obs)
-    raw = pol_drift_raw(rho, kern, params.dt, params.drive_power(t))
+    raw = pol_drift_raw(rho, kern, params.dt)
     obs = np.asarray(obs)
     if not np.count_nonzero(obs):   # most steps record no count
         return raw
@@ -438,51 +427,30 @@ class FilterRun:
     states: np.ndarray = None
 
 
-def _moments(rho, kern):
-    p = np.einsum("...ii->...i", rho).real
-    fx = np.einsum("...ij,ji->...", rho, kern.F_x).real
-    fz = p @ kern.levels
-    fz2 = p @ kern.levels**2
-    purity = np.einsum("...ij,...ji->...", rho, rho).real
-    return fx, fz, fz2, fz2 - fz**2, purity
-
-
 def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_states=False) -> FilterRun:
     """Replay a recorded observation sequence through one filter.
 
     observations: int array of events per step for polarimetry
     (0 none, 1 xi, 2 eta), or float array of dy increments for the
-    diffusive schemes.
+    diffusive schemes. The record is replayed as a batch of one through the
+    co-simulation loop, :func:`spinprobe.trajectory._simulate_block`.
     """
-    rho = FilterState.initial(scheme, mode, params, rho0).rho
+    from .trajectory import _FullCollector, _simulate_block   # trajectory imports this module
+
+    rho0 = FilterState.initial(scheme, mode, params, rho0).rho
     check_jump_bound(scheme, params, params.time_grid()[:-1])
-    kern = build_kernels(params)
     n = params.n_steps
     observations = np.asarray(observations)
     if observations.shape != (n,):
         raise ValueError(f"expected {n} observation increments, got shape {observations.shape}")
     if scheme == "polarimetry" and not np.isin(observations, (0, 1, 2)).all():
         raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
-    dt = params.dt
-
-    shape = (n + 1,)
-    fx = np.empty(shape)
-    fz = np.empty(shape)
-    fz2 = np.empty(shape)
-    var_z = np.empty(shape)
-    purity = np.empty(shape)
-    loglik = np.zeros(shape)
-    states = np.empty((n + 1, kern.dim, kern.dim), dtype=complex) if keep_states else None
-
-    fx[0], fz[0], fz2[0], var_z[0], purity[0] = _moments(rho, kern)
-    if keep_states:
-        states[0] = rho
-    ll = 0.0
-    for i in range(n):
-        rho, tr = finish_step(increment(scheme, rho, observations[i], i * dt, params, kern))
-        ll += float(np.log(tr))
-        fx[i + 1], fz[i + 1], fz2[i + 1], var_z[i + 1], purity[i + 1] = _moments(rho, kern)
-        loglik[i + 1] = ll if mode == "linear" else 0.0
-        if keep_states:
-            states[i + 1] = rho
-    return FilterRun(params.time_grid(), fx, fz, fz2, var_z, purity, loglik, states)
+    if scheme != "polarimetry" and not np.all(np.isfinite(observations)):
+        raise ValueError("diffusive observations dy must be finite")
+    col = _FullCollector(scheme, n, 1, len(rho0), keep_states)
+    _simulate_block(scheme, params, None, [0], rho0, col, observations[None])
+    loglik = col.loglik[0] if mode == "linear" else np.zeros(n + 1)
+    return FilterRun(
+        params.time_grid(), col.fx[0], col.fz[0], col.fz2[0], col.var_z[0], col.purity[0], loglik,
+        None if col.states is None else col.states[0],
+    )

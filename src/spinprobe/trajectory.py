@@ -9,6 +9,11 @@ ensembles advance and reduce trajectories in fixed blocks of :data:`BLOCK`,
 in index order. Runs are therefore bit-identical for any thread count or
 execution order over that block partition; a different batching of the same
 trajectory can round differently in the last bits.
+
+:func:`_simulate_block` is the one loop that steps filters along the time
+grid. It draws each step's observations from the Philox streams, or reads
+them from a given record: :func:`spinprobe.filters.run_filter` replays a
+record as a batch of one through it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -222,51 +227,75 @@ class _ReducedCollector:
         self.loglik = loglik
 
 
-def _simulate_block(scheme, params, base_seed, indices, rho0, collector):
-    """Advance a batch of trajectories; one noise draw per trajectory per step."""
+def _moments(rho, p, kern):
+    """(fx, fz, fz2, var_z, purity) of states rho with diagonals p."""
+    fx = np.einsum("...ij,ji->...", rho, kern.F_x).real
+    fz = p @ kern.levels
+    fz2 = p @ kern.levels**2
+    purity = np.einsum("...ij,...ji->...", rho, rho).real
+    return fx, fz, fz2, fz2 - fz**2, purity
+
+
+def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observations=None):
+    """Advance a batch of trajectories along the time grid.
+
+    Without observations, each step's observation is sampled from the
+    predictive law with one noise draw per trajectory. Given a (batch, n)
+    array of event codes or dy values, the record is replayed instead and
+    base_seed is not used.
+    """
     kern = build_kernels(params)
     n = params.n_steps
     dt = params.dt
     batch = len(indices)
     rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
 
-    if scheme == "polarimetry":
+    if observations is not None:
+        noise = None
+    elif scheme == "polarimetry":
         noise = np.stack([trajectory_rng(base_seed, i).random(n) for i in indices])
     else:
         noise = np.stack([trajectory_rng(base_seed, i).standard_normal(n) for i in indices])
 
     loglik = np.zeros(batch)
-    collector.start(rho, filters._moments(rho, kern))
+    p = np.einsum("bii->bi", rho).real
+    collector.start(rho, _moments(rho, p, kern))
 
     sqdt = np.sqrt(dt)
     for i in range(n):
         t = i * dt
-        p = np.einsum("bii->bi", rho).real
         if scheme == "polarimetry":
             a2 = params.drive_power(t)
             r_xi = 0.5 * a2 * (p @ kern.lxi2)
             r_eta = 0.5 * a2 * (p @ kern.leta2)
-            u = noise[:, i]
-            hit_xi = u < r_xi * dt
-            hit_eta = (~hit_xi) & (u < (r_xi + r_eta) * dt)
-            obs = np.zeros(batch, dtype=np.int8)
-            obs[hit_xi] = 1
-            obs[hit_eta] = 2
+            if noise is None:
+                obs = observations[:, i]
+                hit_xi = obs == 1
+                hit_eta = obs == 2
+            else:
+                u = noise[:, i]
+                hit_xi = u < r_xi * dt
+                hit_eta = (~hit_xi) & (u < (r_xi + r_eta) * dt)
+                obs = np.zeros(batch, dtype=np.int8)
+                obs[hit_xi] = 1
+                obs[hit_eta] = 2
         else:
             if scheme == "homodyne":
                 pred = 2.0 * params.alpha_of(t) * (p @ kern.s)
             else:
                 pred = 2.0 * kern.sqrt_M * (p @ kern.levels)
-            obs = pred * dt + sqdt * noise[:, i]
+            mean = pred * dt
+            obs = observations[:, i] if noise is None else mean + sqdt * noise[:, i]
         rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
         loglik = loglik + np.log(tr)
-        moments = filters._moments(rho, kern)
+        p = np.einsum("bii->bi", rho).real
+        moments = _moments(rho, p, kern)
         if scheme == "polarimetry":
             inn_xi = hit_xi.astype(float) - r_xi * dt
             inn_eta = hit_eta.astype(float) - r_eta * dt
             collector.step_counting(i, obs, inn_xi, inn_eta, rho, moments, loglik)
         else:
-            collector.step_diffusive(i, obs, obs - pred * dt, rho, moments, loglik)
+            collector.step_diffusive(i, obs, obs - mean, rho, moments, loglik)
     return collector
 
 

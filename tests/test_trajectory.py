@@ -170,11 +170,21 @@ def test_jump_bound_enforced():
 
 
 def test_records_against_replay_moments():
-    # co-simulated moment series equal a replay of the same record
+    # co-simulated moment series equal a replay of the same record; replay
+    # runs through the co-simulation loop, so a linear replay with states
+    # reproduces the record bit for bit
     from spinprobe.filters import run_filter
 
-    p = params_for(j=1.0, alpha=2.0, kappa=0.3, T=0.2)
-    rec = traj.simulate_homodyne(p, seed=37)
-    run = run_filter("homodyne", "normalized", p, rec.dy)
-    assert np.max(np.abs(run.fx - rec.fx)) < 1e-12
-    assert np.max(np.abs(run.var_z - rec.var_z)) < 1e-12
+    sim = {"polarimetry": traj.simulate_polarimetry, "homodyne": traj.simulate_homodyne, "limit": traj.simulate_limit}
+    cases = [("homodyne", 1.0, 0.0)]
+    cases += [(s, j, B) for s in sim for j, B in ((0.5, 0.0), (2.0, 0.5), (5.0, 0.0))]
+    for scheme, j, B in cases:
+        p = params_for(j=j, alpha=2.0, kappa=0.3, B=B, T=0.2)
+        rec = sim[scheme](p, seed=37, keep_states=True)
+        obs = rec.events if scheme == "polarimetry" else rec.dy
+        run = run_filter(scheme, "normalized", p, obs)
+        assert np.max(np.abs(run.fx - rec.fx)) < 1e-12
+        assert np.max(np.abs(run.var_z - rec.var_z)) < 1e-12
+        lin = run_filter(scheme, "linear", p, obs, keep_states=True)
+        for name in ("fx", "fz", "fz2", "var_z", "purity", "loglik", "states"):
+            assert np.array_equal(getattr(lin, name), getattr(rec, name)), (scheme, j, name)
