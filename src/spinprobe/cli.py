@@ -167,6 +167,8 @@ def parse_config(path=None, overrides=None) -> RunConfig:
         raise ConfigError(f"mode must be one of {filt.MODES}, got {cfg.mode!r}")
     if cfg.N < 1:
         raise ConfigError("N must be at least 1")
+    if cfg.snapshots < 0:
+        raise ConfigError("snapshots must be at least 0")
     if not 0 <= cfg.base_seed < 2**64:
         raise ConfigError("base_seed must be a 64-bit unsigned integer")
     if cfg.initial_state not in ("coherent_x", "maximally_mixed", "fz_top"):

@@ -40,6 +40,22 @@ state is screened or projected. The eigenvalue floor and
 :func:`project_positive` serve only the master-equation integrator
 :func:`spinprobe.generators.master_evolve`.
 
+Without a field the probe measures F_z nondemolitionally, so a batch can
+also be carried in the F_z level basis as a :class:`LevelState`,
+rho = D o (g g^T): g holds d real weights per state and D = rho0 o
+C_hat(t) is one (d, d) factor shared by the batch (rho0 for the limit and
+counting schemes, times the running product of the homodyne
+C_hat = exp(-a^2 dt (c_i - c_j)^2 / 2)). A step multiplies g by the
+scheme's rows: h, g times the per-level part exp(-a^2 dt s^2 / 2) of C, or
+c +- s on the states that counted; :func:`finish_step` rescales g by
+1/sqrt(tr). D's diagonal stays rho0's, so nothing shared can underflow.
+The diagonal, the moments and the trace factor then cost O(d) per state
+(purity O(d^2) real), and d x d matrices are built only when asked for.
+:func:`increment` applies the same rows and Schur factors to either
+representation. The matrix step is the reference: it is what
+:func:`step` takes, what every run with a field takes, and what the
+closed-form tests pin.
+
 :func:`step` advances one :class:`FilterState` by one observation; every
 run along the time grid goes through the one propagation loop of
 :mod:`spinprobe.trajectory`, which co-simulates batches and also replays a
@@ -55,7 +71,7 @@ alpha^2 dt <= 0.1. All update functions are pure: they return fresh states.
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -135,6 +151,15 @@ class FilterState:
         return float(np.trace(self.rho @ op).real)
 
 
+class LevelSchur(NamedTuple):
+    """The homodyne Schur factor split for level states: C = C_hat o (q q^T), diag(C_hat) = 1."""
+
+    q: np.ndarray           # exp(-a^2 dt s^2 / 2), folded into the level weights
+    C_hat: np.ndarray       # exp(-a^2 dt (c_i - c_j)^2 / 2)
+    C_hat2: np.ndarray      # C_hat^2, for |D|^2
+    C_hat_sub: np.ndarray   # sub-diagonal of C_hat, for fx
+
+
 @dataclass(frozen=True)
 class FilterKernels:
     """Read-only F_z-basis arrays of one parameter set; only the field rotations are not elementwise."""
@@ -144,14 +169,18 @@ class FilterKernels:
     levels: np.ndarray        # F_z eigenvalues m, descending
     c: np.ndarray             # cos(kappa m)
     s: np.ndarray             # sin(kappa m)
+    lxi: np.ndarray           # c+s: count-update rows of L_xi
+    leta: np.ndarray          # c-s
     lxi2: np.ndarray          # (c+s)^2 diagonal of L_xi^2
     leta2: np.ndarray         # (c-s)^2
     K_xi: np.ndarray          # outer(c+s, c+s): count-update mask
     K_eta: np.ndarray
     C: Mapping                # alpha -> exp(alpha^2 dt (c c^T - 1)): homodyne Schur factor
+    C_levels: Mapping         # alpha -> LevelSchur of C
     U: np.ndarray             # exp(-i B F_y dt); None for B = 0
     U_half: np.ndarray        # exp(-i B F_y dt / 2); None for B = 0
     F_x: np.ndarray
+    F_x_sub: np.ndarray       # sub-diagonal of F_x, which is tridiagonal (real)
     F_z: np.ndarray
     M: float
     sqrt_M: float
@@ -169,6 +198,10 @@ def build_kernels(params: ModelParams) -> FilterKernels:
     f_x, f_y, f_z = make_spin_ops(space)
     drives = {params.alpha} | {a for _, a in params.alpha_schedule or ()}
     C = {a: np.exp(a * a * params.dt * (np.outer(c, c) - 1.0)) for a in drives}
+    C_levels = {}
+    for a in drives:   # c_i c_j - 1 = -(c_i - c_j)^2 / 2 - (s_i^2 + s_j^2) / 2
+        c_hat = np.exp(-0.5 * a * a * params.dt * np.subtract.outer(c, c) ** 2)
+        C_levels[a] = LevelSchur(np.exp(-0.5 * a * a * params.dt * s**2), c_hat, c_hat**2, np.diagonal(c_hat, -1).copy())
     U = U_half = None
     if params.B != 0.0:
         U = expm(-1j * params.B * params.dt * f_y)
@@ -179,19 +212,23 @@ def build_kernels(params: ModelParams) -> FilterKernels:
         levels=m,
         c=c,
         s=s,
+        lxi=lxi,
+        leta=leta,
         lxi2=lxi**2,
         leta2=leta**2,
         K_xi=np.outer(lxi, lxi).astype(complex),
         K_eta=np.outer(leta, leta).astype(complex),
         C=MappingProxyType(C),
+        C_levels=MappingProxyType(C_levels),
         U=U,
         U_half=U_half,
         F_x=f_x,
+        F_x_sub=np.diagonal(f_x, -1).real.copy(),
         F_z=f_z,
         M=params.M,
         sqrt_M=np.sqrt(params.M),
     )
-    for arr in (*vars(kern).values(), *C.values()):
+    for arr in (*vars(kern).values(), *C.values(), *(x for split in C_levels.values() for x in split)):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return kern
@@ -232,6 +269,17 @@ def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
     return _rotate(G * _rotate(sigma, kern.U_half), kern.U_half)
 
 
+def _homodyne_rows(kern: FilterKernels, dt, dy, a_t):
+    """Homodyne step rows g = exp(-a^2 dt s^2 / 2 + a dy s), one row per dy."""
+    return np.exp(a_t * (np.asarray(dy)[..., None] * kern.s - 0.5 * a_t * dt * kern.s**2))
+
+
+def _limit_rows(kern: FilterKernels, dt, dy):
+    """Limit step rows h = exp(-M dt m^2 + sqrt(M) dy m), one row per dy."""
+    m = kern.levels
+    return np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * m - kern.M * dt * m**2)
+
+
 def pol_drift_raw(sigma, kern: FilterKernels, dt):
     """No-count evolution of the counting Zakai equation over dt (linear in sigma).
 
@@ -259,8 +307,7 @@ def homodyne_raw(sigma, kern: FilterKernels, dt, dy, a_t):
     elementwise and g = exp(-a^2 dt s^2 / 2 + a dy s).
     """
     _check_dt(kern, dt)
-    g = np.exp(a_t * (np.asarray(dy)[..., None] * kern.s - 0.5 * a_t * dt * kern.s**2))
-    return _diagonal_step(sigma, kern, g, kern.C[a_t])
+    return _diagonal_step(sigma, kern, _homodyne_rows(kern, dt, dy, a_t), kern.C[a_t])
 
 
 def limit_raw(sigma, kern: FilterKernels, dt, dy):
@@ -270,9 +317,7 @@ def limit_raw(sigma, kern: FilterKernels, dt, dy):
     h = exp(-M dt F_z^2 + sqrt(M) dy F_z).
     """
     _check_dt(kern, dt)
-    m = kern.levels
-    h = np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * m - kern.M * dt * m**2)
-    return _diagonal_step(sigma, kern, h)
+    return _diagonal_step(sigma, kern, _limit_rows(kern, dt, dy))
 
 
 def min_eig_hermitian(rho):
@@ -307,16 +352,100 @@ def project_positive(rho, floor: float = EPS_POS):
     return out / tr
 
 
-def finish_step(raw):
-    """Hermitize, read the trace factor and renormalize.
+class _SharedFactor(NamedTuple):
+    """The (d, d) factor D of a LevelState batch, with what its moments read of it."""
 
-    Returns (state matrix with unit trace, trace factor). The updates are
-    positive by construction, so nothing is screened or projected here.
+    D: np.ndarray
+    p0: np.ndarray      # diag(D), real: rho0's diagonal
+    abs2: np.ndarray    # |D_ij|^2
+    fx_w: np.ndarray    # 2 F_x[i+1, i] Re D[i+1, i]
+
+    @classmethod
+    def of(cls, D, kern: FilterKernels):
+        return cls(D, D.diagonal().real.copy(), D.real**2 + D.imag**2, 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
+
+    def times(self, sc: LevelSchur):
+        """The factor D o C_hat."""
+        return _SharedFactor(self.D * sc.C_hat, self.p0, self.abs2 * sc.C_hat2, self.fx_w * sc.C_hat_sub)
+
+
+class LevelState:
+    """A batch of B = 0 filter states in the F_z basis: rho = D o (g g^T).
+
+    g is (batch, d) real, one row of level weights per state; D = rho0 o
+    C_hat(t) is one (d, d) factor that the batch shares. The per-level part
+    of every step factor is folded into g, so D's diagonal stays rho0's and
+    renormalizing means scaling g by 1/sqrt(tr). Levels that rho0 leaves
+    empty keep the weight 0, since no record can lift them.
     """
-    out = raw + _dagger(raw)
-    tr = 0.5 * _btrace(out)
+
+    __slots__ = ("g", "shared", "_g2", "_p")
+
+    def __init__(self, g, shared: _SharedFactor):
+        self.g = g
+        self.shared = shared
+        self._g2 = self._p = None
+
+    @classmethod
+    def initial(cls, rho0, batch, kern: FilterKernels):
+        shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern)
+        g = np.broadcast_to((shared.p0 > 0.0).astype(float), (batch, kern.dim)).copy()
+        return cls(g, shared)
+
+    @property
+    def shape(self):
+        return (*self.g.shape, self.g.shape[-1])
+
+    def diagonal(self):
+        """diag(rho) = diag(D) g^2, (batch, d) real."""
+        if self._p is None:
+            self._p = self.shared.p0 * self.g2()
+        return self._p
+
+    def g2(self):
+        if self._g2 is None:
+            self._g2 = self.g * self.g
+        return self._g2
+
+    def matrix(self):
+        """The (batch, d, d) states."""
+        return self.shared.D * (self.g[:, :, None] * self.g[:, None, :])
+
+    def fx(self):
+        """trace(rho F_x), from the sub-diagonal since F_x is tridiagonal."""
+        return (self.g[:, 1:] * self.g[:, :-1]) @ self.shared.fx_w
+
+    def purity(self):
+        """trace(rho^2) = (g^2)^T |D|^2 (g^2)."""
+        g2 = self.g2()
+        return ((g2 @ self.shared.abs2) * g2).sum(-1)
+
+    def scaled(self, rows, schur: LevelSchur = None):
+        """rho_ij <- C_ij rows_i rho_ij rows_j, with C = schur.C_hat o (schur.q schur.q^T) or 1."""
+        if schur is None:
+            return LevelState(self.g * rows, self.shared)
+        return LevelState(self.g * (rows * schur.q), self.shared.times(schur))
+
+
+def _checked_trace(tr):
     if not (tr > 0.0).all():   # also catches a NaN trace
         raise ValueError("filter trace vanished; record is inconsistent with the model")
+    return tr
+
+
+def finish_step(raw):
+    """Read the trace factor of a step's output and renormalize it.
+
+    Returns (state with unit trace, trace factor). A matrix (or batch) is
+    hermitized first; a LevelState is already Hermitian and has its weights
+    scaled by 1/sqrt(tr). The updates are positive by construction, so
+    nothing is screened or projected here.
+    """
+    if isinstance(raw, LevelState):
+        tr = _checked_trace(raw.diagonal().sum(-1))
+        return LevelState(raw.g * (1.0 / np.sqrt(tr))[:, None], raw.shared), tr
+    out = raw + _dagger(raw)
+    tr = _checked_trace(0.5 * _btrace(out))
     out *= 0.5 / (tr[..., None, None] if out.ndim > 2 else tr)
     return out, tr
 
@@ -354,33 +483,49 @@ def check_jump_bound(scheme, params: ModelParams, times):
         raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
 
 
+def _check_count(p, f2, channel):
+    """Reject a recorded count whose probability, against the pre-count diagonals p, is (numerically) zero."""
+    if np.any(p @ f2 <= ZERO_COUNT_TOL * p.sum(-1)):
+        raise ValueError(f"recorded {channel}-count has zero probability; record is inconsistent with the model")
+
+
 def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     """Unnormalized step of the scheme's linear filter over [t, t + dt] (see the module notes).
 
-    rho is one state (d, d) or a batch (b, d, d); obs holds the matching
-    event code(s) (0 none, 1 xi, 2 eta) for polarimetry, or the dy value(s)
-    for the diffusive schemes. A counting step applies the no-count
+    rho is one state (d, d), a batch (b, d, d) or, for B = 0, a LevelState;
+    obs holds the matching event code(s) (0 none, 1 xi, 2 eta) for
+    polarimetry, or the dy value(s) for the diffusive schemes. A matrix
+    takes the step with the field rotations; a LevelState takes the same
+    diagonal factor on its weights. A counting step applies the no-count
     evolution first, then at most one count per state; a count with
     (numerically) zero probability raises ValueError.
     """
+    levels = isinstance(rho, LevelState)
     if scheme == "homodyne":
-        return homodyne_raw(rho, kern, params.dt, obs, params.alpha_of(t))
+        a = params.alpha_of(t)
+        if levels:
+            return rho.scaled(_homodyne_rows(kern, params.dt, obs, a), kern.C_levels[a])
+        return homodyne_raw(rho, kern, params.dt, obs, a)
     if scheme == "limit":
+        if levels:
+            return rho.scaled(_limit_rows(kern, params.dt, obs))
         return limit_raw(rho, kern, params.dt, obs)
-    raw = pol_drift_raw(rho, kern, params.dt)
+    raw = rho if levels else pol_drift_raw(rho, kern, params.dt)   # the drift is the identity for B = 0
     obs = np.asarray(obs)
     if not np.count_nonzero(obs):   # most steps record no count
         return raw
-    for code, channel in ((1, "xi"), (2, "eta")):
+    if levels:
+        raw = LevelState(rho.g.copy(), rho.shared)
+    for code, channel, rows, f2 in ((1, "xi", kern.lxi, kern.lxi2), (2, "eta", kern.leta, kern.leta2)):
         hit = obs == code   # a 0-d mask selects a single state as a batch of one
         if np.count_nonzero(hit):
-            before = raw[hit]
-            jumped = pol_jump_raw(before, kern, channel)
-            if np.any(_btrace(jumped) <= ZERO_COUNT_TOL * _btrace(before)):
-                raise ValueError(
-                    f"recorded {channel}-count has zero probability; record is inconsistent with the model"
-                )
-            raw[hit] = jumped
+            if levels:
+                _check_count(raw.shared.p0 * raw.g[hit] ** 2, f2, channel)
+                raw.g[hit] *= rows
+            else:
+                before = raw[hit]
+                _check_count(np.einsum("...ii->...i", before).real, f2, channel)
+                raw[hit] = pol_jump_raw(before, kern, channel)
     return raw
 
 

@@ -13,7 +13,13 @@ trajectory can round differently in the last bits.
 :func:`_simulate_block` is the one loop that steps filters along the time
 grid. It draws each step's observations from the Philox streams, or reads
 them from a given record: :func:`spinprobe.filters.run_filter` replays a
-record as a batch of one through it.
+record as a batch of one through it. Without a field (B = 0) the loop
+carries the batch as a :class:`spinprobe.filters.LevelState` (d real
+weights per trajectory and one shared d x d factor), reads the diagonal
+and moments from it in O(d) per trajectory, and builds d x d states only
+at ensemble snapshots and for records that keep their states. With a field
+it carries the (batch, d, d) matrices, and takes the matrix step, which is
+the reference for the level representation.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -129,7 +135,7 @@ class _FullCollector:
     def start(self, rho, moments):
         self._set_moments(0, moments, np.zeros(rho.shape[0]))
         if self.states is not None:
-            self.states[:, 0] = rho
+            self.states[:, 0] = _matrix(rho)
 
     def _set_moments(self, idx, moments, loglik):
         fx, fz, fz2, var_z, purity = moments
@@ -146,14 +152,14 @@ class _FullCollector:
         self.inn_eta[:, i + 1] = self.inn_eta[:, i] + inn_eta_inc
         self._set_moments(i + 1, moments, loglik)
         if self.states is not None:
-            self.states[:, i + 1] = rho
+            self.states[:, i + 1] = _matrix(rho)
 
     def step_diffusive(self, i, dy, inn_inc, rho, moments, loglik):
         self.dy[:, i] = dy
         self.inn[:, i + 1] = self.inn[:, i] + inn_inc
         self._set_moments(i + 1, moments, loglik)
         if self.states is not None:
-            self.states[:, i + 1] = rho
+            self.states[:, i + 1] = _matrix(rho)
 
 
 class _ReducedCollector:
@@ -190,6 +196,7 @@ class _ReducedCollector:
     def _snapshot(self, idx, rho):
         k = self._snap_pos.get(idx)
         if k is not None:
+            rho = _matrix(rho)
             self.rho_sum[k] += rho.sum(axis=0)
             self.rho_abs2_sum[k] += (np.abs(rho) ** 2).sum(axis=0)
 
@@ -227,12 +234,27 @@ class _ReducedCollector:
         self.loglik = loglik
 
 
+def _matrix(rho):
+    """The (batch, d, d) states of either representation."""
+    return rho.matrix() if isinstance(rho, filters.LevelState) else rho
+
+
+def _diagonal(rho):
+    """The (batch, d) real diagonals of either representation."""
+    if isinstance(rho, filters.LevelState):
+        return rho.diagonal()
+    return np.einsum("bii->bi", rho).real
+
+
 def _moments(rho, p, kern):
     """(fx, fz, fz2, var_z, purity) of states rho with diagonals p."""
-    fx = np.einsum("...ij,ji->...", rho, kern.F_x).real
+    if isinstance(rho, filters.LevelState):
+        fx, purity = rho.fx(), rho.purity()
+    else:
+        fx = np.einsum("...ij,ji->...", rho, kern.F_x).real
+        purity = np.einsum("...ij,...ji->...", rho, rho).real
     fz = p @ kern.levels
     fz2 = p @ kern.levels**2
-    purity = np.einsum("...ij,...ji->...", rho, rho).real
     return fx, fz, fz2, fz2 - fz**2, purity
 
 
@@ -248,7 +270,10 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     n = params.n_steps
     dt = params.dt
     batch = len(indices)
-    rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
+    if kern.U is None:   # B = 0: d level weights per trajectory
+        rho = filters.LevelState.initial(rho0, batch, kern)
+    else:
+        rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
 
     if observations is not None:
         noise = None
@@ -258,7 +283,7 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
         noise = np.stack([trajectory_rng(base_seed, i).standard_normal(n) for i in indices])
 
     loglik = np.zeros(batch)
-    p = np.einsum("bii->bi", rho).real
+    p = _diagonal(rho)
     collector.start(rho, _moments(rho, p, kern))
 
     sqdt = np.sqrt(dt)
@@ -288,7 +313,7 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
             obs = observations[:, i] if noise is None else mean + sqdt * noise[:, i]
         rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
         loglik = loglik + np.log(tr)
-        p = np.einsum("bii->bi", rho).real
+        p = _diagonal(rho)
         moments = _moments(rho, p, kern)
         if scheme == "polarimetry":
             inn_xi = hit_xi.astype(float) - r_xi * dt

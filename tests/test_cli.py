@@ -77,6 +77,8 @@ def test_parse_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, "b.json", J=0.5, alpha=1.0, kappa=0.1, N=0))
     with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, "s.json", J=0.5, alpha=1.0, kappa=0.1, snapshots=-3))
+    with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, "c.json", J=0.3, alpha=1.0, kappa=0.1))
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "missing.json"))

@@ -465,3 +465,37 @@ def test_step_functions_match_run_filter():
     for dy in dys:
         st = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
     assert np.max(np.abs(st.rho - run.states[-1])) < 1e-13
+
+    # run_filter keeps B = 0 states as level weights; filters.step is the matrix
+    # reference. At B = 0.5 both sides take the matrix step.
+    for scheme, j, B in [(s, 5.0, 0.0) for s in ("polarimetry", "homodyne", "limit")] + [("homodyne", 2.0, 0.5)]:
+        p = params_for(j=j, alpha=2.0, kappa=0.25, B=B, dt=1e-3, T=0.2)
+        if scheme == "polarimetry":
+            record = rng.choice(3, size=p.n_steps, p=[0.96, 0.02, 0.02])
+            obs = [ObservationIncrement.none(p.dt) if ev == 0 else
+                   ObservationIncrement.count("xi" if ev == 1 else "eta", p.dt) for ev in record]
+        else:
+            record = 0.3 * p.dt + np.sqrt(p.dt) * rng.standard_normal(p.n_steps)
+            obs = [ObservationIncrement.diffusive(dy, p.dt) for dy in record]
+        run = run_filter(scheme, "linear", p, record, keep_states=True)
+        st = FilterState.initial(scheme, "linear", p)
+        for k, ob in enumerate(obs):
+            st = step(st, ob, p)
+            assert np.max(np.abs(st.rho - run.states[k + 1])) < 1e-12, (scheme, j, k)
+            assert st.loglik == pytest.approx(run.loglik[k + 1], abs=1e-12)
+
+
+def test_homodyne_strong_drive_no_diagonal_underflow():
+    # alpha^2 dt = 1.6: the Schur factor's diagonal exp(-alpha^2 dt s_m^2)
+    # underflows within a few hundred steps if kept in the shared level factor,
+    # and the weights of the empty levels overflow unless they stay 0; only the
+    # top level is populated and the filter must stay there
+    p = params_for(j=2.0, alpha=40.0, kappa=0.5, dt=1e-3, T=1.0)
+    rho0 = fz_eigenstate(p.space, 0)
+    dy = np.sqrt(p.dt) * np.random.default_rng(15).standard_normal(p.n_steps)
+    run = run_filter("homodyne", "linear", p, dy, rho0=rho0)
+    assert np.max(np.abs(run.fz - 2.0)) < 1e-12
+    st = FilterState(rho0, "homodyne", "linear")
+    for y in dy:
+        st = step(st, ObservationIncrement.diffusive(y, p.dt), p)
+    assert run.loglik[-1] == pytest.approx(st.loglik, rel=1e-9)

@@ -112,6 +112,12 @@ def test_ensemble_single_matches_simulate():
     s = traj.run_ensemble(p, "limit", 1, base_seed=23)
     assert np.array_equal(s.series_mean["fz"], rec.fz)
     assert s.terminals["y"][0] == pytest.approx(rec.y[-1], abs=1e-15)
+    # at B = 0 the states are built from level weights only at the snapshots
+    # (and on every step for keep_states); both must build the same matrices
+    p = params_for(j=5.0, alpha=4.0, kappa=0.25, T=0.05)
+    rec = traj.simulate_homodyne(p, seed=23, keep_states=True)
+    s = traj.run_ensemble(p, "homodyne", 1, base_seed=23)
+    assert np.array_equal(s.mean_rho, rec.states[s.snapshot_indices])
 
 
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
