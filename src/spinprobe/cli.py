@@ -527,6 +527,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        if args.threads < 1:
+            raise ConfigError("threads must be at least 1")
         cfg = parse_config(args.config, _overrides_from_args(args))
         outdir = cfg.outdir
         os.makedirs(outdir, exist_ok=True)

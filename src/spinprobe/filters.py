@@ -167,12 +167,12 @@ class FilterKernels:
     dim: int
     dt: float
     levels: np.ndarray        # F_z eigenvalues m, descending
+    levels2: np.ndarray       # m^2
     c: np.ndarray             # cos(kappa m)
     s: np.ndarray             # sin(kappa m)
-    lxi: np.ndarray           # c+s: count-update rows of L_xi
-    leta: np.ndarray          # c-s
     lxi2: np.ndarray          # (c+s)^2 diagonal of L_xi^2
     leta2: np.ndarray         # (c-s)^2
+    count_rows: np.ndarray    # rows 1, c+s, c-s: the level factor of event code 0 (none), 1 (xi), 2 (eta)
     K_xi: np.ndarray          # outer(c+s, c+s): count-update mask
     K_eta: np.ndarray
     C: Mapping                # alpha -> exp(alpha^2 dt (c c^T - 1)): homodyne Schur factor
@@ -210,12 +210,12 @@ def build_kernels(params: ModelParams) -> FilterKernels:
         dim=space.dim,
         dt=params.dt,
         levels=m,
+        levels2=m**2,
         c=c,
         s=s,
-        lxi=lxi,
-        leta=leta,
         lxi2=lxi**2,
         leta2=leta**2,
+        count_rows=np.stack([np.ones_like(c), lxi, leta]),
         K_xi=np.outer(lxi, lxi).astype(complex),
         K_eta=np.outer(leta, leta).astype(complex),
         C=MappingProxyType(C),
@@ -276,8 +276,7 @@ def _homodyne_rows(kern: FilterKernels, dt, dy, a_t):
 
 def _limit_rows(kern: FilterKernels, dt, dy):
     """Limit step rows h = exp(-M dt m^2 + sqrt(M) dy m), one row per dy."""
-    m = kern.levels
-    return np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * m - kern.M * dt * m**2)
+    return np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * kern.levels - kern.M * dt * kern.levels2)
 
 
 def pol_drift_raw(sigma, kern: FilterKernels, dt):
@@ -413,12 +412,12 @@ class LevelState:
 
     def fx(self):
         """trace(rho F_x), from the sub-diagonal since F_x is tridiagonal."""
-        return (self.g[:, 1:] * self.g[:, :-1]) @ self.shared.fx_w
+        return np.vecdot(self.g[:, 1:] * self.g[:, :-1], self.shared.fx_w)
 
     def purity(self):
-        """trace(rho^2) = (g^2)^T |D|^2 (g^2)."""
+        """trace(rho^2) = (g^2)^T |D|^2 (g^2), one matrix-vector product per state."""
         g2 = self.g2()
-        return ((g2 @ self.shared.abs2) * g2).sum(-1)
+        return np.vecdot(np.matmul(g2[:, None, :], self.shared.abs2)[:, 0], g2)
 
     def scaled(self, rows, schur: LevelSchur = None):
         """rho_ij <- C_ij rows_i rho_ij rows_j, with C = schur.C_hat o (schur.q schur.q^T) or 1."""
@@ -442,7 +441,7 @@ def finish_step(raw):
     nothing is screened or projected here.
     """
     if isinstance(raw, LevelState):
-        tr = _checked_trace(raw.diagonal().sum(-1))
+        tr = _checked_trace(np.vecdot(raw.g2(), raw.shared.p0))
         return LevelState(raw.g * (1.0 / np.sqrt(tr))[:, None], raw.shared), tr
     out = raw + _dagger(raw)
     tr = _checked_trace(0.5 * _btrace(out))
@@ -483,9 +482,13 @@ def check_jump_bound(scheme, params: ModelParams, times):
         raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
 
 
-def _check_count(p, f2, channel):
+def _check_counts(p, obs, kern: FilterKernels):
     """Reject a recorded count whose probability, against the pre-count diagonals p, is (numerically) zero."""
-    if np.any(p @ f2 <= ZERO_COUNT_TOL * p.sum(-1)):
+    hit = obs != 0   # a 0-d mask selects a single state as a batch of one
+    p, codes = p[hit], obs[hit]
+    zero = np.vecdot(p, kern.count_rows[codes] ** 2) <= ZERO_COUNT_TOL * p.sum(-1)
+    if zero.any():
+        channel = "xi" if codes[zero][0] == 1 else "eta"
         raise ValueError(f"recorded {channel}-count has zero probability; record is inconsistent with the model")
 
 
@@ -514,18 +517,13 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     obs = np.asarray(obs)
     if not np.count_nonzero(obs):   # most steps record no count
         return raw
+    _check_counts(raw.diagonal() if levels else np.einsum("...ii->...i", raw).real, obs, kern)
     if levels:
-        raw = LevelState(rho.g.copy(), rho.shared)
-    for code, channel, rows, f2 in ((1, "xi", kern.lxi, kern.lxi2), (2, "eta", kern.leta, kern.leta2)):
+        return rho.scaled(kern.count_rows[obs])
+    for code, channel in ((1, "xi"), (2, "eta")):
         hit = obs == code   # a 0-d mask selects a single state as a batch of one
         if np.count_nonzero(hit):
-            if levels:
-                _check_count(raw.shared.p0 * raw.g[hit] ** 2, f2, channel)
-                raw.g[hit] *= rows
-            else:
-                before = raw[hit]
-                _check_count(np.einsum("...ii->...i", before).real, f2, channel)
-                raw[hit] = pol_jump_raw(before, kern, channel)
+            raw[hit] = pol_jump_raw(raw[hit], kern, channel)
     return raw
 
 

@@ -4,11 +4,21 @@ Records are sampled from the filter's own predictive law: counting events
 from the state-dependent channel rates, photocurrents by adding white noise
 to the predicted drift (the innovations are Wiener increments by
 construction). Every trajectory draws exclusively from its own
-counter-based Philox stream keyed by (base_seed, trajectory_index), and
-ensembles advance and reduce trajectories in fixed blocks of :data:`BLOCK`,
-in index order. Runs are therefore bit-identical for any thread count or
-execution order over that block partition; a different batching of the same
-trajectory can round differently in the last bits.
+counter-based Philox stream keyed by (base_seed, trajectory_index), read
+:data:`CHUNK` steps at a time, which continues the stream exactly as one
+draw of all steps would.
+
+Compute batches and reduction slices are separate. An ensemble advances
+its trajectories in as many contiguous compute batches as it has threads
+(one batch of all N on one thread), each made of whole slices of
+:data:`BLOCK` rows. Sums are kept per slice and added in slice order, so
+the partition into slices alone fixes the reduction order. Every per-row
+quantity is an elementwise operation or a per-row reduction (``np.vecdot``,
+a sum over the row's last axis), never a matrix product across rows, so a
+trajectory's path, moments and terminal values are bit-identical in a batch
+of any width, a batch of one included. Runs are therefore bit-identical for
+any thread count, and a replay or a per-trajectory record equals its
+ensemble row exactly.
 
 :func:`_simulate_block` is the one loop that steps filters along the time
 grid. It draws each step's observations from the Philox streams, or reads
@@ -33,7 +43,8 @@ from .filters import build_kernels, finish_step
 # Not called here: the benchmark tracer (perfbench/layers.py) also looks these names up in this module.
 from .filters import pol_drift_raw, pol_jump_raw, homodyne_raw, limit_raw  # noqa: F401
 
-BLOCK = 256
+BLOCK = 256    # rows per reduction slice
+CHUNK = 128    # time steps of Philox draws held per trajectory
 RNG_NAME = "philox4x64 key=(base_seed, trajectory_index)"
 
 _MASK64 = (1 << 64) - 1
@@ -163,53 +174,62 @@ class _FullCollector:
 
 
 class _ReducedCollector:
-    """Accumulates block sums for ensemble summaries; nothing per step per path."""
+    """Per-slice sums for ensemble summaries; nothing per step per path.
+
+    The batch is cut into slices of BLOCK rows, the last possibly shorter.
+    Each step writes every series into one (series, batch) array and reduces
+    it once into sums and sums of squares per slice, so the sums of a slice
+    do not depend on which batch it ran in. The cumulative processes are
+    rows of that array.
+    """
 
     SERIES_COUNTING = ("fx", "fz", "var_z", "purity", "inn_xi", "inn_eta", "counts_xi", "counts_eta")
     SERIES_DIFFUSIVE = ("fx", "fz", "var_z", "purity", "inn")
 
     def __init__(self, scheme, n, batch, dim, snapshot_indices):
         self.scheme = scheme
-        self.batch = batch
-        names = self.SERIES_COUNTING if scheme == "polarimetry" else self.SERIES_DIFFUSIVE
-        self.sums = {name: np.zeros(n + 1) for name in names}
-        self.sumsq = {name: np.zeros(n + 1) for name in names}
+        self.names = self.SERIES_COUNTING if scheme == "polarimetry" else self.SERIES_DIFFUSIVE
+        self.slices = [(a, min(a + BLOCK, batch)) for a in range(0, batch, BLOCK)]
+        self._rows = np.zeros((2, len(self.names), batch))   # this step's series and their squares
+        self.sums = np.zeros((n + 1, 2, len(self.names), len(self.slices)))
         self.snapshot_indices = snapshot_indices
-        self.rho_sum = np.zeros((len(snapshot_indices), dim, dim), dtype=complex)
-        self.rho_abs2_sum = np.zeros((len(snapshot_indices), dim, dim))
+        self.rho_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim), dtype=complex)
+        self.rho_abs2_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim))
         self._snap_pos = {int(g): k for k, g in enumerate(snapshot_indices)}
         if scheme == "polarimetry":
-            self.cum_inn_xi = np.zeros(batch)
-            self.cum_inn_eta = np.zeros(batch)
-            self.n_xi = np.zeros(batch, dtype=np.int64)
-            self.n_eta = np.zeros(batch, dtype=np.int64)
+            self.cum_inn_xi, self.cum_inn_eta, self.n_xi, self.n_eta = self._rows[0, 4:]
         else:
-            self.cum_inn = np.zeros(batch)
+            self.cum_inn = self._rows[0, 4]
             self.cum_y = np.zeros(batch)
             self.qv = np.zeros(batch)
         self.loglik = np.zeros(batch)
 
-    def _add_series(self, idx, name, values):
-        self.sums[name][idx] += values.sum()
-        self.sumsq[name][idx] += (values**2).sum()
+    def _store(self, idx, moments):
+        """Write the moments into the step array and add every series to the slice sums at idx."""
+        fx, fz, _, var_z, purity = moments
+        values, squares = self._rows
+        values[0], values[1], values[2], values[3] = fx, fz, var_z, purity
+        np.multiply(values, values, out=squares)
+        full = self._rows.shape[-1] // BLOCK
+        out = self.sums[idx]
+        if full:
+            head = self._rows[..., : full * BLOCK]
+            head.reshape(*head.shape[:-1], full, BLOCK).sum(-1, out=out[..., :full])
+        if full < len(self.slices):
+            self._rows[..., full * BLOCK :].sum(-1, out=out[..., full])
 
     def _snapshot(self, idx, rho):
         k = self._snap_pos.get(idx)
         if k is not None:
             rho = _matrix(rho)
-            self.rho_sum[k] += rho.sum(axis=0)
-            self.rho_abs2_sum[k] += (np.abs(rho) ** 2).sum(axis=0)
+            abs2 = np.abs(rho) ** 2
+            for s, (a, b) in enumerate(self.slices):
+                self.rho_sum[k, s] = rho[a:b].sum(axis=0)
+                self.rho_abs2_sum[k, s] = abs2[a:b].sum(axis=0)
 
     def start(self, rho, moments):
         self._store(0, moments)
         self._snapshot(0, rho)
-
-    def _store(self, idx, moments):
-        fx, fz, fz2, var_z, purity = moments
-        self._add_series(idx, "fx", fx)
-        self._add_series(idx, "fz", fz)
-        self._add_series(idx, "var_z", var_z)
-        self._add_series(idx, "purity", purity)
 
     def step_counting(self, i, ev, inn_xi_inc, inn_eta_inc, rho, moments, loglik):
         self.cum_inn_xi += inn_xi_inc
@@ -217,10 +237,6 @@ class _ReducedCollector:
         self.n_xi += ev == 1
         self.n_eta += ev == 2
         self._store(i + 1, moments)
-        self._add_series(i + 1, "inn_xi", self.cum_inn_xi)
-        self._add_series(i + 1, "inn_eta", self.cum_inn_eta)
-        self._add_series(i + 1, "counts_xi", self.n_xi.astype(float))
-        self._add_series(i + 1, "counts_eta", self.n_eta.astype(float))
         self._snapshot(i + 1, rho)
         self.loglik = loglik
 
@@ -229,9 +245,33 @@ class _ReducedCollector:
         self.cum_y += dy
         self.qv += inn_inc**2
         self._store(i + 1, moments)
-        self._add_series(i + 1, "inn", self.cum_inn)
         self._snapshot(i + 1, rho)
         self.loglik = loglik
+
+
+class _Noise:
+    """The Philox draws of a batch, read step by step and drawn CHUNK steps at a time.
+
+    Each trajectory's stream continues from chunk to chunk, so the draws
+    equal trajectory_rng(base_seed, i).random(n) (counting) or
+    .standard_normal(n) (diffusive) bit for bit, while only a
+    (batch, CHUNK) buffer is held.
+    """
+
+    def __init__(self, scheme, base_seed, indices, n):
+        method = "random" if scheme == "polarimetry" else "standard_normal"
+        self._draws = [getattr(trajectory_rng(base_seed, i), method) for i in indices]
+        self._buf = np.empty((len(self._draws), min(CHUNK, n)))
+        self._n = n
+
+    def __call__(self, i):
+        """The (batch,) draws of step i; steps must be read in order from 0."""
+        j = i % CHUNK
+        if j == 0:
+            width = min(CHUNK, self._n - i)
+            for draw, row in zip(self._draws, self._buf):
+                draw(out=row[:width])
+        return self._buf[:, j]
 
 
 def _matrix(rho):
@@ -247,14 +287,15 @@ def _diagonal(rho):
 
 
 def _moments(rho, p, kern):
-    """(fx, fz, fz2, var_z, purity) of states rho with diagonals p."""
+    """(fx, fz, fz2, var_z, purity) of states rho with diagonals p, each reduced row by row."""
     if isinstance(rho, filters.LevelState):
         fx, purity = rho.fx(), rho.purity()
-    else:
-        fx = np.einsum("...ij,ji->...", rho, kern.F_x).real
-        purity = np.einsum("...ij,...ji->...", rho, rho).real
-    fz = p @ kern.levels
-    fz2 = p @ kern.levels**2
+    else:   # F_x is tridiagonal; rho is Hermitian, so trace(rho^2) = sum |rho_ij|^2
+        fx = 2.0 * np.vecdot(np.diagonal(rho, -1, -2, -1).real, kern.F_x_sub)
+        flat = rho.reshape(len(rho), -1)
+        purity = np.vecdot(flat, flat).real
+    fz = np.vecdot(p, kern.levels)
+    fz2 = np.vecdot(p, kern.levels2)
     return fx, fz, fz2, fz2 - fz**2, purity
 
 
@@ -275,49 +316,43 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     else:
         rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
 
-    if observations is not None:
-        noise = None
-    elif scheme == "polarimetry":
-        noise = np.stack([trajectory_rng(base_seed, i).random(n) for i in indices])
-    else:
-        noise = np.stack([trajectory_rng(base_seed, i).standard_normal(n) for i in indices])
+    noise = None if observations is not None else _Noise(scheme, base_seed, indices, n)
 
     loglik = np.zeros(batch)
     p = _diagonal(rho)
-    collector.start(rho, _moments(rho, p, kern))
+    moments = _moments(rho, p, kern)
+    collector.start(rho, moments)
 
     sqdt = np.sqrt(dt)
     for i in range(n):
         t = i * dt
         if scheme == "polarimetry":
             a2 = params.drive_power(t)
-            r_xi = 0.5 * a2 * (p @ kern.lxi2)
-            r_eta = 0.5 * a2 * (p @ kern.leta2)
+            r_xi = 0.5 * a2 * np.vecdot(p, kern.lxi2)
+            r_eta = 0.5 * a2 * np.vecdot(p, kern.leta2)
+            q_xi, q_eta = r_xi * dt, r_eta * dt   # predicted count probabilities
             if noise is None:
                 obs = observations[:, i]
                 hit_xi = obs == 1
-                hit_eta = obs == 2
-            else:
-                u = noise[:, i]
-                hit_xi = u < r_xi * dt
-                hit_eta = (~hit_xi) & (u < (r_xi + r_eta) * dt)
-                obs = np.zeros(batch, dtype=np.int8)
-                obs[hit_xi] = 1
-                obs[hit_eta] = 2
+            else:   # xi if u < q_xi, else eta if u < (r_xi + r_eta) dt
+                u = noise(i)
+                hit_xi = u < q_xi
+                obs = 2 * (u < (r_xi + r_eta) * dt).view(np.int8) - hit_xi
+            hit_eta = obs == 2
         else:
             if scheme == "homodyne":
-                pred = 2.0 * params.alpha_of(t) * (p @ kern.s)
-            else:
-                pred = 2.0 * kern.sqrt_M * (p @ kern.levels)
+                pred = 2.0 * params.alpha_of(t) * np.vecdot(p, kern.s)
+            else:   # pi(F_z) is the fz of the moments just taken
+                pred = 2.0 * kern.sqrt_M * moments[1]
             mean = pred * dt
-            obs = observations[:, i] if noise is None else mean + sqdt * noise[:, i]
+            obs = observations[:, i] if noise is None else mean + sqdt * noise(i)
         rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
         loglik = loglik + np.log(tr)
         p = _diagonal(rho)
         moments = _moments(rho, p, kern)
         if scheme == "polarimetry":
-            inn_xi = hit_xi.astype(float) - r_xi * dt
-            inn_eta = hit_eta.astype(float) - r_eta * dt
+            inn_xi = hit_xi.astype(float) - q_xi
+            inn_eta = hit_eta.astype(float) - q_eta
             collector.step_counting(i, obs, inn_xi, inn_eta, rho, moments, loglik)
         else:
             collector.step_diffusive(i, obs, obs - mean, rho, moments, loglik)
@@ -401,8 +436,16 @@ def simulate_limit(params: ModelParams, seed: int, rho0=None, keep_states=False)
 
 
 def _blocks(N):
-    """The fixed partition of trajectory indices 0..N-1 that ensembles run and reduce by."""
+    """The fixed partition of trajectory indices 0..N-1 into reduction slices of BLOCK rows."""
     return [list(range(b, min(b + BLOCK, N))) for b in range(0, N, BLOCK)]
+
+
+def _batches(N, threads):
+    """At most `threads` contiguous compute batches of whole BLOCK-row slices, as even as possible."""
+    slices = -(-N // BLOCK)
+    k = min(threads, slices)
+    edges = [min(N, BLOCK * (slices * j // k)) for j in range(k + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def default_snapshot_indices(n_steps: int, count: int = 11) -> np.ndarray:
@@ -421,69 +464,74 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Run N independent trajectories and reduce scheduling-invariant summaries.
 
-    Trajectory i draws from the Philox stream keyed by (base_seed, i);
-    reductions run over fixed blocks of BLOCK trajectories in index order, so
-    the result is a pure function of (params, scheme, N, base_seed) for any
-    thread count.
+    Trajectory i draws from the Philox stream keyed by (base_seed, i). The
+    trajectories run as `threads` contiguous compute batches of whole
+    BLOCK-row slices (one batch of all N on one thread); sums are kept per
+    slice and added in slice order. A trajectory's arithmetic does not depend
+    on its batch, so the result is a pure function of (params, scheme, N,
+    base_seed, rho0, snapshot_indices) for any thread count.
+    snapshot_indices, the grid steps whose mean state is kept, must be
+    strictly increasing integers in [0, n_steps].
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
     rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     n = params.n_steps
     dim = params.space.dim
     if snapshot_indices is None:
         snapshot_indices = default_snapshot_indices(n)
-    snapshot_indices = np.asarray(snapshot_indices, dtype=int)
+    snapshot_indices = np.asarray(snapshot_indices)
+    if snapshot_indices.ndim != 1 or (snapshot_indices.size and not (
+        np.issubdtype(snapshot_indices.dtype, np.integer)
+        and snapshot_indices[0] >= 0
+        and snapshot_indices[-1] <= n
+        and np.all(np.diff(snapshot_indices) > 0)
+    )):
+        raise ValueError(f"snapshot_indices must be strictly increasing integers in [0, {n}]")
+    snapshot_indices = snapshot_indices.astype(int)
 
-    blocks = _blocks(N)
-
-    def run_block(indices):
+    def run_batch(indices):
         col = _ReducedCollector(scheme, n, len(indices), dim, snapshot_indices)
         _simulate_block(scheme, params, base_seed, indices, rho0, col)
         return col
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(run_block, blocks))
+    batches = _batches(N, threads)
+    if len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+            cols = list(pool.map(run_batch, batches))
     else:
-        cols = [run_block(indices) for indices in blocks]
+        cols = [run_batch(batches[0])]
 
-    names = list(cols[0].sums)
-    sums = {name: np.zeros(n + 1) for name in names}
-    sumsq = {name: np.zeros(n + 1) for name in names}
+    names = cols[0].names
+    sums = np.zeros(cols[0].sums.shape[:-1])   # (n + 1, 2, series): sums, sums of squares
     rho_sum = np.zeros((len(snapshot_indices), dim, dim), dtype=complex)
     rho_abs2 = np.zeros((len(snapshot_indices), dim, dim))
-    terminals = {}
-    term_parts = []
     for col in cols:
-        for name in names:
-            sums[name] += col.sums[name]
-            sumsq[name] += col.sumsq[name]
-        rho_sum += col.rho_sum
-        rho_abs2 += col.rho_abs2_sum
-        if scheme == "polarimetry":
-            term_parts.append(
-                dict(counts_xi=col.n_xi, counts_eta=col.n_eta, loglik=col.loglik,
-                     inn_xi=col.cum_inn_xi, inn_eta=col.cum_inn_eta)
-            )
-        else:
-            term_parts.append(
-                dict(y=col.cum_y, qv=col.qv, loglik=col.loglik, inn=col.cum_inn)
-            )
-    for key in term_parts[0]:
-        terminals[key] = np.concatenate([p[key] for p in term_parts])
+        for s in range(len(col.slices)):
+            sums += col.sums[..., s]
+            rho_sum += col.rho_sum[:, s]
+            rho_abs2 += col.rho_abs2_sum[:, s]
+    if scheme == "polarimetry":
+        parts = dict(counts_xi="n_xi", counts_eta="n_eta", loglik="loglik", inn_xi="cum_inn_xi", inn_eta="cum_inn_eta")
+    else:
+        parts = dict(y="cum_y", qv="qv", loglik="loglik", inn="cum_inn")
+    terminals = {key: np.concatenate([getattr(col, attr) for col in cols]) for key, attr in parts.items()}
     if scheme == "polarimetry":
         alpha = params.alpha
+        for key in ("counts_xi", "counts_eta"):
+            terminals[key] = terminals[key].astype(np.int64)
         total = terminals["counts_xi"] + terminals["counts_eta"]
         diff = terminals["counts_xi"] - terminals["counts_eta"]
         terminals["y_plus"] = total / alpha**2 if alpha > 0 else total.astype(float)
         terminals["y_minus"] = diff / alpha if alpha > 0 else diff.astype(float)
 
-    series_mean = {name: sums[name] / N for name in names}
+    series_mean = {name: sums[:, 0, j] / N for j, name in enumerate(names)}
     series_sem = {}
-    for name in names:
-        var = np.maximum(sumsq[name] / N - series_mean[name] ** 2, 0.0)
+    for j, name in enumerate(names):
+        var = np.maximum(sums[:, 1, j] / N - series_mean[name] ** 2, 0.0)
         series_sem[name] = np.sqrt(var / N)
 
     mean_rho = rho_sum / N

@@ -182,17 +182,23 @@ def test_ensemble_per_trajectory_dir(tmp_path):
     assert files == [f"trajectory_{i:05d}.csv" for i in range(3)]
 
 
-@pytest.mark.parametrize("scheme", ["homodyne", "limit"])
-def test_per_trajectory_paths_are_the_ensemble_paths(tmp_path, scheme):
+@pytest.mark.parametrize("scheme,J,N", [
+    pytest.param("homodyne", "2", 20, id="homodyne"),
+    pytest.param("limit", "2", 20, id="limit"),
+    pytest.param("homodyne", "5", 300, id="homodyne-J5-N300"),
+])
+def test_per_trajectory_paths_are_the_ensemble_paths(tmp_path, scheme, J, N):
+    # N = 300 runs as one batch of 300 in the ensemble and as slices of
+    # 256 and 44 for the per-trajectory files
     rc = main(
-        ["ensemble", "--J", "2", "--alpha", "3", "--kappa", "0.2", "--T", "0.1",
-         "--dt", "1e-3", "--scheme", scheme, "--N", "20", "--seed", "2",
+        ["ensemble", "--J", J, "--alpha", "3", "--kappa", "0.2", "--T", "0.1",
+         "--dt", "1e-3", "--scheme", scheme, "--N", str(N), "--seed", "2",
          "--outdir", str(tmp_path), "--per-trajectory", "paths"]
     )
     assert rc == 0
     lines = open(tmp_path / "terminals.csv").read().strip().split("\n")
     y = [float(row.split(",")[lines[0].split(",").index("y")]) for row in lines[1:]]
-    assert len(y) == 20
+    assert len(y) == N
     for i, y_i in enumerate(y):
         rows = open(tmp_path / "paths" / f"trajectory_{i:05d}.csv").read().strip().split("\n")[2:]
         dy = np.array([float(row.split(",")[1]) for row in rows])
@@ -204,6 +210,25 @@ def test_config_error_exit_code(tmp_path):
                "--T", "1.0", "--dt", "5e-3", "--scheme", "polarimetry",
                "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    rc = main(["ensemble", "--J", "1/2", "--alpha", "2.0", "--kappa", "0.2", "--T", "0.01",
+               "--dt", "1e-3", "--scheme", "limit", "--N", "4", "--threads", threads,
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_run_ensemble_rejects_threads_below_one():
+    from spinprobe import ModelParams, trajectory
+
+    p = ModelParams.build(j=0.5, alpha=2.0, kappa=0.2, T=0.01, dt=1e-3)
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            trajectory.run_ensemble(p, "limit", 4, base_seed=1, threads=threads)
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):

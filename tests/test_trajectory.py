@@ -122,16 +122,66 @@ def test_ensemble_single_matches_simulate():
 
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
 def test_thread_count_invariance(scheme, monkeypatch):
-    monkeypatch.setattr(traj, "BLOCK", 64)
-    p = params_for(j=0.5, alpha=3.0, kappa=0.2, T=0.1)
-    runs = [traj.run_ensemble(p, scheme, 150, base_seed=29, threads=k) for k in (1, 2, 4)]
-    for other in runs[1:]:
-        for name in runs[0].series_mean:
-            assert np.array_equal(runs[0].series_mean[name], other.series_mean[name])
-            assert np.array_equal(runs[0].series_sem[name], other.series_sem[name])
-        assert np.array_equal(runs[0].mean_rho, other.mean_rho)
-        for name in runs[0].terminals:
-            assert np.array_equal(runs[0].terminals[name], other.terminals[name])
+    cases = [(params_for(j=j, alpha=4.0, kappa=0.25, B=B, T=0.02), N)
+             for j, B in ((5.0, 0.0), (2.0, 0.5)) for N in (263, 1000)]
+    for p, N in [(params_for(j=0.5, alpha=3.0, kappa=0.2, T=0.1), 150)] + cases:
+        with monkeypatch.context() as m:
+            if N == 150:
+                m.setattr(traj, "BLOCK", 64)
+            runs = [traj.run_ensemble(p, scheme, N, base_seed=29, threads=k) for k in (1, 2, 3, 4)]
+        for other in runs[1:]:
+            for name in runs[0].series_mean:
+                assert np.array_equal(runs[0].series_mean[name], other.series_mean[name])
+                assert np.array_equal(runs[0].series_sem[name], other.series_sem[name])
+            assert np.array_equal(runs[0].mean_rho, other.mean_rho)
+            assert np.array_equal(runs[0].sem_rho_frob, other.sem_rho_frob)
+            for name in runs[0].terminals:
+                assert np.array_equal(runs[0].terminals[name], other.terminals[name])
+
+
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
+@pytest.mark.parametrize("j,B", [(0.5, 0.0), (2.0, 0.5), (5.0, 0.0)])
+def test_rows_independent_of_batch_width(scheme, j, B):
+    # a trajectory's path, moments and states are the same bits in a batch of
+    # any width, a batch of one included
+    p = params_for(j=j, alpha=4.0, kappa=0.25, B=B, T=0.02)
+    rho0 = coherent_x_state(p.space).rho
+    n, dim = p.n_steps, p.space.dim
+
+    def run(indices):
+        col = traj._FullCollector(scheme, n, len(indices), dim, keep_states=True)
+        return traj._simulate_block(scheme, p, 47, indices, rho0, col)
+
+    wide = run(list(range(1000)))
+    fields = ["states", "fx", "fz", "fz2", "var_z", "purity", "loglik"]
+    fields += ["events", "inn_xi", "inn_eta"] if scheme == "polarimetry" else ["dy", "inn"]
+    if scheme == "polarimetry":
+        assert np.count_nonzero(wide.events) > 100   # the count update ran
+    for indices in ([517], [0], list(range(253, 260)), list(range(700, 956))):
+        narrow = run(indices)
+        for name in fields:
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)[indices]), (len(indices), name)
+
+
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne"])
+@pytest.mark.parametrize("n", [1, 2 * traj.CHUNK - 1, 2 * traj.CHUNK, 2 * traj.CHUNK + 1, 5 * traj.CHUNK + 7])
+def test_chunked_draws_equal_one_shot(scheme, n):
+    indices = [0, 5, 2**40 + 3]
+    noise = traj._Noise(scheme, 2**63 + 11, indices, n)
+    got = np.stack([noise(i).copy() for i in range(n)], axis=1)
+    method = "random" if scheme == "polarimetry" else "standard_normal"
+    want = np.stack([getattr(traj.trajectory_rng(2**63 + 11, i), method)(n) for i in indices])
+    assert np.array_equal(got, want)
+
+
+def test_bad_snapshot_indices_rejected():
+    p = params_for(T=0.05)   # 50 steps
+    for bad in ([10, 10, 60, -1], [10, 10], [5, 3], [-1, 4], [0, 51], [0.0, 10.0], [[0, 1]]):
+        with pytest.raises(ValueError):
+            traj.run_ensemble(p, "limit", 3, base_seed=1, snapshot_indices=bad)
+    s = traj.run_ensemble(p, "limit", 3, base_seed=1, snapshot_indices=[0, 10, 50])
+    assert np.allclose([np.trace(r).real for r in s.mean_rho], 1.0)
+    assert traj.run_ensemble(p, "limit", 3, base_seed=1, snapshot_indices=[]).mean_rho.shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("scheme,generator", [
