@@ -8,6 +8,7 @@ thread count. Exit codes: 0 ok, 1 invariant breach, 2 usage or config error.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -110,6 +111,13 @@ def _parse_j(value):
     return float(value)
 
 
+def _parse_int(name, value):
+    out = int(value)
+    if out != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 def parse_config(path=None, overrides=None) -> RunConfig:
     """Load, merge and validate the configuration.
 
@@ -149,16 +157,16 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             value = getattr(cfg, name)
             if value is not None:
                 setattr(cfg, name, float(value))
-        cfg.N = int(cfg.N)
-        cfg.base_seed = int(cfg.base_seed)
-        cfg.k_points = int(cfg.k_points)
-        cfg.snapshots = int(cfg.snapshots)
+        for name in ("N", "base_seed", "k_points", "snapshots"):
+            setattr(cfg, name, _parse_int(name, getattr(cfg, name)))
+        if cfg.record_full_state not in (True, False):   # a JSON boolean, 0 or 1
+            raise ConfigError(f"record_full_state must be a boolean, got {cfg.record_full_state!r}")
         cfg.record_full_state = bool(cfg.record_full_state)
         if cfg.alpha_list is not None:
             cfg.alpha_list = tuple(float(a) for a in cfg.alpha_list)
         if cfg.alpha_schedule is not None:
             cfg.alpha_schedule = tuple((float(t), float(a)) for t, a in cfg.alpha_schedule)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
 
     if cfg.scheme not in filt.SCHEMES:
@@ -196,17 +204,17 @@ def parse_config(path=None, overrides=None) -> RunConfig:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % value
-    return str(value)
+def _cells(column) -> list:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values]
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write equal-length columns (arrays or lists): floats with FLOAT_FMT, anything else with str."""
+    rows = zip(*map(_cells, columns))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def _sha256(path) -> str:
@@ -264,31 +272,17 @@ def cmd_master(cfg: RunConfig, outdir, threads):
     rho0 = cfg.initial_rho(params)
     times, states = master_evolve(rho0, params, generator=cfg.generator)
     f_x, f_y, f_z = make_spin_ops(params.space)
-    fz2_op = f_z @ f_z
-    rows = []
-    for t, rho in zip(times, states):
-        rows.append(
-            (
-                t,
-                np.trace(rho @ f_x).real,
-                np.trace(rho @ f_y).real,
-                np.trace(rho @ f_z).real,
-                np.trace(rho @ fz2_op).real,
-                np.trace(rho @ rho).real,
-            )
-        )
+    moments = [np.trace(states @ op, axis1=1, axis2=2).real for op in (f_x, f_y, f_z, f_z @ f_z, states)]
     path = os.path.join(outdir, "master.csv")
-    write_csv(path, ["t", "fx", "fy", "fz", "fz2", "purity"], rows)
+    write_csv(path, ["t", "fx", "fy", "fz", "fz2", "purity"], [times, *moments])
     return [path]
 
 
-def _obs_str(rec, step):
-    """The event label or dy of a record's step-th row (empty on the initial row)."""
-    if step == 0:
-        return ""
+def _obs_column(rec) -> list:
+    """Event labels or dy per row of a record, empty on the initial row."""
     if rec.scheme == "polarimetry":
-        return {0: "", 1: "xi", 2: "eta"}[int(rec.events[step - 1])]
-    return _fmt(rec.dy[step - 1])
+        return [""] + [("", "xi", "eta")[e] for e in rec.events.tolist()]
+    return [""] + rec.dy.tolist()
 
 
 def cmd_simulate(cfg: RunConfig, outdir, threads):
@@ -300,17 +294,17 @@ def cmd_simulate(cfg: RunConfig, outdir, threads):
     }[cfg.scheme]
     rec = sim(params, cfg.base_seed, rho0=cfg.initial_rho(params), keep_states=cfg.record_full_state)
     loglik = rec.loglik if cfg.mode == "linear" else np.zeros_like(rec.t)
-    rows = [
-        (t, _obs_str(rec, i), rec.fx[i], rec.fz[i], rec.var_z[i], rec.purity[i], loglik[i])
-        for i, t in enumerate(rec.t)
-    ]
     path = os.path.join(outdir, "trajectory.csv")
-    write_csv(path, ["t", "event_or_dy", "fx", "fz", "var_fz", "purity", "loglik"], rows)
+    write_csv(
+        path,
+        ["t", "event_or_dy", "fx", "fz", "var_fz", "purity", "loglik"],
+        [rec.t, _obs_column(rec), rec.fx, rec.fz, rec.var_z, rec.purity, loglik],
+    )
     outputs = [path]
     if cfg.record_full_state:
         spath = os.path.join(outdir, "states.json")
         with open(spath, "w") as fh:
-            json.dump({"t": list(map(float, rec.t)), "rho": [matrix_to_json(r) for r in rec.states]}, fh)
+            fh.write(json.dumps({"t": rec.t.tolist(), "rho": matrix_to_json(rec.states)}))
             fh.write("\n")
         outputs.append(spath)
     return outputs
@@ -324,32 +318,23 @@ def cmd_ensemble(cfg: RunConfig, outdir, threads, per_trajectory=None):
         params, cfg.scheme, cfg.N, cfg.base_seed, rho0=rho0, threads=threads, snapshot_indices=snaps
     )
     names = sorted(summary.series_mean)
-    header = ["t"]
+    header, columns = ["t"], [summary.t]
     for name in names:
         header += [f"mean_{name}", f"sem_{name}"]
-    rows = []
-    for i, t in enumerate(summary.t):
-        row = [t]
-        for name in names:
-            row += [summary.series_mean[name][i], summary.series_sem[name][i]]
-        rows.append(row)
+        columns += [summary.series_mean[name], summary.series_sem[name]]
     path = os.path.join(outdir, "ensemble.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
 
     tpath = os.path.join(outdir, "terminals.csv")
     tnames = sorted(summary.terminals)
-    write_csv(
-        tpath,
-        tnames,
-        zip(*[summary.terminals[name] for name in tnames]),
-    )
+    write_csv(tpath, tnames, [summary.terminals[name] for name in tnames])
 
     spath = os.path.join(outdir, "mean_states.json")
     with open(spath, "w") as fh:
         json.dump(
             {
                 "snapshot_times": [float(summary.t[i]) for i in summary.snapshot_indices],
-                "mean_rho": [matrix_to_json(r) for r in summary.mean_rho],
+                "mean_rho": matrix_to_json(summary.mean_rho),
                 "sem_frobenius": [float(x) for x in summary.sem_rho_frob],
             },
             fh,
@@ -363,12 +348,12 @@ def cmd_ensemble(cfg: RunConfig, outdir, threads, per_trajectory=None):
         os.makedirs(tdir, exist_ok=True)
         for indices in traj._blocks(cfg.N):
             for rec in traj._simulate_full(cfg.scheme, params, cfg.base_seed, rho0, False, indices):
-                rows = [
-                    (t, _obs_str(rec, step), rec.fx[step], rec.fz[step], rec.var_z[step], rec.purity[step])
-                    for step, t in enumerate(rec.t)
-                ]
                 tp = os.path.join(tdir, f"trajectory_{rec.traj_index:05d}.csv")
-                write_csv(tp, ["t", "event_or_dy", "fx", "fz", "var_fz", "purity"], rows)
+                write_csv(
+                    tp,
+                    ["t", "event_or_dy", "fx", "fz", "var_fz", "purity"],
+                    [rec.t, _obs_column(rec), rec.fx, rec.fz, rec.var_z, rec.purity],
+                )
                 outputs.append(tp)
     return outputs
 
@@ -391,23 +376,12 @@ def cmd_charfunc(cfg: RunConfig, outdir, threads):
         analytic = cf.charfunc_homodyne_analytic(k, params, p)
     summary = traj.run_ensemble(params, scheme, cfg.N, cfg.base_seed, rho0=rho0, threads=threads)
     empirical = cf.empirical_charfunc(summary, cfg.process, k)
-    rows = [
-        (
-            k[i],
-            params.T,
-            analytic.values[i].real,
-            analytic.values[i].imag,
-            empirical.values[i].real,
-            empirical.values[i].imag,
-            empirical.stderr[i],
-        )
-        for i in range(k.size)
-    ]
     path = os.path.join(outdir, "charfunc.csv")
     write_csv(
         path,
         ["k", "t", "re_analytic", "im_analytic", "re_empirical", "im_empirical", "stderr"],
-        rows,
+        [k, [params.T] * k.size, analytic.values.real, analytic.values.imag,
+         empirical.values.real, empirical.values.imag, empirical.stderr],
     )
     return [path]
 
@@ -422,24 +396,15 @@ def cmd_converge(cfg: RunConfig, outdir, threads):
     rho0 = cfg.initial_rho(ModelParams.build(j=cfg.J, alpha=1.0, kappa=0.0, T=cfg.T, dt=cfg.T))
     p = np.diagonal(rho0).real
     study = cf.convergence_study(m_value, cfg.alpha_list, cfg.k_grid(), cfg.T, p, j=cfg.J)
-    rows = [
-        (
-            study.alphas[i],
-            study.kappas[i],
-            study.d_polarimetry[i],
-            study.d_homodyne[i],
-            study.rate_polarimetry,
-            study.rate_homodyne,
-        )
-        for i in range(study.alphas.size)
-    ]
+    n = study.alphas.size
     path = os.path.join(outdir, "converge.csv")
     write_csv(
         path,
         ["alpha", "kappa", "d_polarimetry", "d_homodyne", "rate_polarimetry", "rate_homodyne"],
-        rows,
+        [study.alphas, study.kappas, study.d_polarimetry, study.d_homodyne,
+         [study.rate_polarimetry] * n, [study.rate_homodyne] * n],
     )
-    if study.alphas.size > 1:
+    if n > 1:
         if not (np.all(np.diff(study.d_polarimetry) < 0) and np.all(np.diff(study.d_homodyne) < 0)):
             raise InvariantError("convergence distances are not strictly decreasing")
     return [path]
@@ -464,6 +429,7 @@ _CSV_DOC = """CSV column orders (fixed):
 Floats are printed with 17 significant digits for exact round-tripping."""
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinprobe",

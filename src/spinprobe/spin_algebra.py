@@ -161,9 +161,9 @@ class DensityState:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Serialize a complex matrix as row-major [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    """Serialize a complex matrix, or a stack of them, as row-major [re, im] pairs."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:

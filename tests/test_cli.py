@@ -1,11 +1,16 @@
 import hashlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
+from spinprobe import charfuncs as cf
+from spinprobe import trajectory as traj
 from spinprobe.cli import ConfigError, main, parse_config
+from spinprobe.generators import master_evolve
+from spinprobe.spin_algebra import make_spin_ops
 
 
 def write_config(tmp_path, name="config.json", **data):
@@ -81,7 +86,38 @@ def test_parse_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, "c.json", J=0.3, alpha=1.0, kappa=0.1))
     with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, "z.json", J="1/0", alpha=1.0, kappa=0.1))
+    with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, "i.json", J="inf", alpha=1.0, kappa=0.1))
+    with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("value", ["false", "true", "", 2, 0.5, None, [1]])
+def test_record_full_state_must_be_boolean(tmp_path, value):
+    with pytest.raises(ConfigError, match="record_full_state"):
+        parse_config(write_config(tmp_path, J=0.5, alpha=1.0, kappa=0.1, record_full_state=value))
+
+
+@pytest.mark.parametrize("value, expected", [(True, True), (False, False), (1, True), (0, False)])
+def test_record_full_state_accepts_booleans_and_0_1(tmp_path, value, expected):
+    cfg = parse_config(write_config(tmp_path, J=0.5, alpha=1.0, kappa=0.1, record_full_state=value))
+    assert cfg.record_full_state is expected
+
+
+def test_record_full_state_string_writes_no_states(tmp_path):
+    config = write_config(tmp_path, J=0.5, alpha=1.0, kappa=0.1, T=0.01, record_full_state="false")
+    rc = main(["simulate", "--config", config, "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out" / "states.json").exists()
+
+
+@pytest.mark.parametrize("key", ["N", "base_seed", "k_points", "snapshots"])
+def test_integer_keys_reject_fractions(tmp_path, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(write_config(tmp_path, J=0.5, alpha=1.0, kappa=0.1, **{key: 2.7}))
+    cfg = parse_config(write_config(tmp_path, "whole.json", J=0.5, alpha=1.0, kappa=0.1, **{key: 3.0}))
+    assert getattr(cfg, key) == 3 and type(getattr(cfg, key)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +272,132 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     rc = main(["check-unitarity", "--J", "1/2", "--alpha", "1.0", "--kappa", "0.3"])
     assert rc == 0
     assert (tmp_path / "unitarity.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# output bytes, rebuilt cell by cell as the row-wise writer formatted them
+# ---------------------------------------------------------------------------
+
+def _rowwise_csv(header, rows) -> bytes:
+    def cell(v):
+        return "%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+    return (",".join(header) + "\n" + "".join(",".join(cell(v) for v in row) + "\n" for row in rows)).encode()
+
+
+def _rowwise_matrix(m) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _rowwise_obs(rec, step):
+    if step == 0:
+        return ""
+    if rec.scheme == "polarimetry":
+        return {0: "", 1: "xi", 2: "eta"}[int(rec.events[step - 1])]
+    return rec.dy[step - 1]
+
+
+def _read(path) -> bytes:
+    return open(path, "rb").read()
+
+
+@pytest.mark.parametrize("scheme, mode", [
+    ("polarimetry", "linear"), ("homodyne", "linear"), ("limit", "linear"), ("polarimetry", "normalized"),
+])
+def test_simulate_output_bytes(tmp_path, scheme, mode):
+    rc = main(["simulate", "--J", "2", "--B", "0.5", "--alpha", "3", "--kappa", "0.2", "--T", "0.1",
+               "--dt", "1e-3", "--scheme", scheme, "--mode", mode, "--seed", "5",
+               "--record-full-state", "--outdir", str(tmp_path)])
+    assert rc == 0
+    cfg = parse_config(str(tmp_path / "manifest.json"))
+    params = cfg.to_params()
+    sim = {"polarimetry": traj.simulate_polarimetry, "homodyne": traj.simulate_homodyne,
+           "limit": traj.simulate_limit}[scheme]
+    rec = sim(params, cfg.base_seed, rho0=cfg.initial_rho(params), keep_states=True)
+    loglik = rec.loglik if mode == "linear" else np.zeros_like(rec.t)
+    rows = [(t, _rowwise_obs(rec, i), rec.fx[i], rec.fz[i], rec.var_z[i], rec.purity[i], loglik[i])
+            for i, t in enumerate(rec.t)]
+    header = ["t", "event_or_dy", "fx", "fz", "var_fz", "purity", "loglik"]
+    assert _read(tmp_path / "trajectory.csv") == _rowwise_csv(header, rows)
+    buf = io.StringIO()
+    json.dump({"t": [float(t) for t in rec.t], "rho": [_rowwise_matrix(r) for r in rec.states]}, buf)
+    assert _read(tmp_path / "states.json") == (buf.getvalue() + "\n").encode()
+
+
+def test_ensemble_output_bytes(tmp_path):
+    N = 20
+    rc = main(["ensemble", "--J", "1/2", "--alpha", "3", "--kappa", "0.2", "--T", "0.1", "--dt", "1e-3",
+               "--scheme", "polarimetry", "--N", str(N), "--seed", "21",
+               "--outdir", str(tmp_path), "--per-trajectory", "paths"])
+    assert rc == 0
+    cfg = parse_config(str(tmp_path / "manifest.json"))
+    params = cfg.to_params()
+    rho0 = cfg.initial_rho(params)
+    snaps = traj.default_snapshot_indices(params.n_steps, cfg.snapshots)
+    summary = traj.run_ensemble(params, "polarimetry", N, cfg.base_seed, rho0=rho0, snapshot_indices=snaps)
+    names = sorted(summary.series_mean)
+    header = ["t"] + [f"{kind}_{name}" for name in names for kind in ("mean", "sem")]
+    rows = [[t] + [v for name in names for v in (summary.series_mean[name][i], summary.series_sem[name][i])]
+            for i, t in enumerate(summary.t)]
+    assert _read(tmp_path / "ensemble.csv") == _rowwise_csv(header, rows)
+
+    tnames = sorted(summary.terminals)
+    assert any(summary.terminals[name].dtype.kind == "i" for name in tnames)
+    rows = zip(*[summary.terminals[name] for name in tnames])
+    assert _read(tmp_path / "terminals.csv") == _rowwise_csv(tnames, rows)
+
+    buf = io.StringIO()
+    json.dump({"snapshot_times": [float(summary.t[i]) for i in summary.snapshot_indices],
+               "mean_rho": [_rowwise_matrix(r) for r in summary.mean_rho],
+               "sem_frobenius": [float(x) for x in summary.sem_rho_frob]}, buf, indent=2)
+    assert _read(tmp_path / "mean_states.json") == (buf.getvalue() + "\n").encode()
+
+    records = traj._simulate_full("polarimetry", params, cfg.base_seed, rho0, False, list(range(N)))
+    assert any(rec.events.any() for rec in records)
+    for rec in records:
+        rows = [(t, _rowwise_obs(rec, i), rec.fx[i], rec.fz[i], rec.var_z[i], rec.purity[i])
+                for i, t in enumerate(rec.t)]
+        expected = _rowwise_csv(["t", "event_or_dy", "fx", "fz", "var_fz", "purity"], rows)
+        assert _read(tmp_path / "paths" / f"trajectory_{rec.traj_index:05d}.csv") == expected
+
+
+@pytest.mark.parametrize("generator", ["finite", "limit"])
+def test_master_output_bytes(tmp_path, generator):
+    rc = main(["master", "--J", "2", "--B", "0.3", "--alpha", "4", "--kappa", "0.25", "--T", "0.05",
+               "--dt", "1e-3", "--generator", generator, "--outdir", str(tmp_path)])
+    assert rc == 0
+    cfg = parse_config(str(tmp_path / "manifest.json"))
+    params = cfg.to_params()
+    times, states = master_evolve(cfg.initial_rho(params), params, generator=generator)
+    f_x, f_y, f_z = make_spin_ops(params.space)
+    rows = [(t, *(np.trace(rho @ op).real for op in (f_x, f_y, f_z, f_z @ f_z, rho)))
+            for t, rho in zip(times, states)]
+    assert _read(tmp_path / "master.csv") == _rowwise_csv(["t", "fx", "fy", "fz", "fz2", "purity"], rows)
+
+
+def test_charfunc_output_bytes(tmp_path):
+    rc = main(["charfunc", "--J", "1/2", "--alpha", "4", "--kappa", "0.25", "--T", "0.1", "--dt", "1e-3",
+               "--process", "minus", "--N", "50", "--seed", "8", "--k-points", "7", "--outdir", str(tmp_path)])
+    assert rc == 0
+    cfg = parse_config(str(tmp_path / "manifest.json"))
+    params = cfg.to_params()
+    rho0 = cfg.initial_rho(params)
+    k = cfg.k_grid()
+    analytic = cf.charfunc_minus_analytic(k, params, np.diagonal(rho0).real)
+    summary = traj.run_ensemble(params, "polarimetry", cfg.N, cfg.base_seed, rho0=rho0)
+    empirical = cf.empirical_charfunc(summary, "minus", k)
+    rows = [(k[i], params.T, analytic.values[i].real, analytic.values[i].imag,
+             empirical.values[i].real, empirical.values[i].imag, empirical.stderr[i]) for i in range(k.size)]
+    header = ["k", "t", "re_analytic", "im_analytic", "re_empirical", "im_empirical", "stderr"]
+    assert _read(tmp_path / "charfunc.csv") == _rowwise_csv(header, rows)
+
+
+def test_converge_output_bytes(tmp_path):
+    rc = main(["converge", "--J", "1/2", "--M", "1.0", "--T", "1.0", "--alpha-list", "2,4,8",
+               "--k-points", "9", "--outdir", str(tmp_path)])
+    assert rc == 0
+    p = np.array([0.5, 0.5])
+    study = cf.convergence_study(1.0, (2.0, 4.0, 8.0), np.linspace(-5, 5, 9), 1.0, p, j=0.5)
+    rows = [(study.alphas[i], study.kappas[i], study.d_polarimetry[i], study.d_homodyne[i],
+             study.rate_polarimetry, study.rate_homodyne) for i in range(study.alphas.size)]
+    header = ["alpha", "kappa", "d_polarimetry", "d_homodyne", "rate_polarimetry", "rate_homodyne"]
+    assert _read(tmp_path / "converge.csv") == _rowwise_csv(header, rows)

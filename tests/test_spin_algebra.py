@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,37 @@ def test_matrix_serialization_roundtrip():
     data = matrix_to_json(m)
     assert data[0][1] == [pytest.approx(m[0, 1].real), pytest.approx(m[0, 1].imag)]
     assert np.array_equal(matrix_from_json(data), m)
+
+
+def _matrix_lists(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def test_matrix_serialization_of_stacks_views_and_real_input():
+    from spinprobe.generators import ModelParams
+    from spinprobe.trajectory import simulate_homodyne
+
+    params = ModelParams.build(j=1.0, alpha=3.0, kappa=0.2, B=0.5, T=0.01, dt=1e-3)
+    rec = simulate_homodyne(params, 3, keep_states=True)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stack[0, 0, 0] = -0.0 - 0.0j
+    cases = {
+        "record states": rec.states,
+        "one record state": rec.states[0],
+        "transpose": rec.states[1].T,
+        "strided stack": stack[::2, :, 1:],
+        "stack": stack,
+        "real": rng.standard_normal((4, 4)),
+    }
+    for name, m in cases.items():
+        data = matrix_to_json(m)
+        if m.ndim == 2:
+            expected = _matrix_lists(m)
+            assert np.array_equal(matrix_from_json(data), m), name
+        else:
+            expected = [_matrix_lists(r) for r in m]
+            assert np.array_equal(np.array([matrix_from_json(r) for r in data]), m), name
+        assert data == expected, name
+        assert json.dumps(data) == json.dumps(expected), name
+        assert {type(x) for x in np.ravel(np.array(data, dtype=object))} == {float}, name
