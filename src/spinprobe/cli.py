@@ -8,7 +8,9 @@ thread count. Exit codes: 0 ok, 1 invariant breach, 2 usage or config error.
 """
 
 import argparse
+import contextlib
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -217,6 +219,22 @@ def write_csv(path, header, columns):
         fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Hold off the cyclic collector while acyclic temporaries are built and dropped.
+
+    A record's states make tens of thousands of nested lists; left on, the
+    collector would scan them repeatedly and at times sweep the whole heap.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -303,8 +321,10 @@ def cmd_simulate(cfg: RunConfig, outdir, threads):
     outputs = [path]
     if cfg.record_full_state:
         spath = os.path.join(outdir, "states.json")
+        with _gc_paused():
+            text = json.dumps({"t": rec.t.tolist(), "rho": matrix_to_json(rec.states)})
         with open(spath, "w") as fh:
-            fh.write(json.dumps({"t": rec.t.tolist(), "rho": matrix_to_json(rec.states)}))
+            fh.write(text)
             fh.write("\n")
         outputs.append(spath)
     return outputs

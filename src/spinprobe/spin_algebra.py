@@ -7,6 +7,7 @@ All returned arrays are fresh; treat them as immutable values.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -107,11 +108,22 @@ def coherent_x_state(space: SpinSpace) -> "DensityState":
     Built by rotating the top F_z level with exp(-i (pi/2) F_y); satisfies
     trace(rho F_x) = J.
     """
-    _, f_y, _ = make_spin_ops(space)
-    rot = expm(-1j * (np.pi / 2) * f_y)
-    psi = rot[:, 0].copy()
+    psi = _x_polarized_ket(space)
     rho = np.outer(psi, psi.conj())
     return DensityState(rho)
+
+
+@lru_cache(maxsize=16)
+def _x_polarized_ket(space: SpinSpace) -> np.ndarray:
+    """exp(-i (pi/2) F_y) applied to the top F_z level, once per space (read-only).
+
+    Cached because expm goes through threaded LAPACK, whose worker thread
+    then spins for tens of milliseconds next to the caller's own work.
+    """
+    _, f_y, _ = make_spin_ops(space)
+    psi = expm(-1j * (np.pi / 2) * f_y)[:, 0].copy()
+    psi.setflags(write=False)
+    return psi
 
 
 def random_density(space: SpinSpace, rng) -> "DensityState":

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -321,6 +322,19 @@ def test_simulate_output_bytes(tmp_path, scheme, mode):
     buf = io.StringIO()
     json.dump({"t": [float(t) for t in rec.t], "rho": [_rowwise_matrix(r) for r in rec.states]}, buf)
     assert _read(tmp_path / "states.json") == (buf.getvalue() + "\n").encode()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_states_dump_leaves_the_collector_as_it_was(tmp_path, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc = main(["simulate", "--J", "1", "--alpha", "3", "--kappa", "0.2", "--T", "0.01", "--dt", "1e-3",
+                   "--record-full-state", "--outdir", str(tmp_path)])
+        assert rc == 0 and (tmp_path / "states.json").is_file()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_ensemble_output_bytes(tmp_path):

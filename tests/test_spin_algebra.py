@@ -140,6 +140,18 @@ def test_coherent_x_rotation_fixed_point():
             assert np.max(np.abs(u @ rho @ u.conj().T - rho)) < 1e-12
 
 
+def test_coherent_x_state_is_a_fresh_value():
+    # the rotated ket is computed once per space; each state still owns its array
+    space = SpinSpace.from_j(2)
+    a = coherent_x_state(space).rho
+    first = a.copy()
+    a[0, 0] = 7.0
+    b = coherent_x_state(space).rho
+    assert b is not a and b.flags.writeable
+    assert np.array_equal(b, first)
+    assert coherent_x_state(SpinSpace.from_j(1)).dim == 3
+
+
 def test_density_state_validation():
     with pytest.raises(ValueError):
         DensityState(np.diag([1.2, -0.2]))
