@@ -503,7 +503,10 @@ def _overrides_from_args(args) -> dict:
         if value is None:
             continue
         if key == "alpha_list" and isinstance(value, str):
-            value = tuple(float(a) for a in value.split(","))
+            try:
+                value = tuple(float(a) for a in value.split(","))
+            except ValueError:
+                raise ConfigError(f"alpha_list must be comma-separated numbers, got {value!r}") from None
         out[key] = value
     return out
 

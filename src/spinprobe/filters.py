@@ -42,19 +42,35 @@ state is screened or projected. The eigenvalue floor and
 
 Without a field the probe measures F_z nondemolitionally, so a batch can
 also be carried in the F_z level basis as a :class:`LevelState`,
-rho = D o (g g^T): g holds d real weights per state and D = rho0 o
-C_hat(t) is one (d, d) factor shared by the batch (rho0 for the limit and
-counting schemes, times the running product of the homodyne
+rho = D o (g g^T): g holds d real weights per state, level-major, and
+D = rho0 o C_hat(t) is one (d, d) factor shared by the batch (rho0 for the
+limit and counting schemes, times the running product of the homodyne
 C_hat = exp(-a^2 dt (c_i - c_j)^2 / 2)). A step multiplies g by the
-scheme's rows: h, g times the per-level part exp(-a^2 dt s^2 / 2) of C, or
-c +- s on the states that counted; :func:`finish_step` rescales g by
+scheme's factors: h, g times the per-level part exp(-a^2 dt s^2 / 2) of C,
+or c +- s on the states that counted; :func:`finish_step` rescales g by
 1/sqrt(tr). D's diagonal stays rho0's, so nothing shared can underflow.
-The diagonal, the moments and the trace factor then cost O(d) per state
-(purity O(d^2) real), and d x d matrices are built only when asked for.
-:func:`increment` applies the same rows and Schur factors to either
-representation. The matrix step is the reference: it is what
-:func:`step` takes, what every run with a field takes, and what the
-closed-form tests pin.
+d x d matrices are built only when asked for. The matrix step is the
+reference: it is what :func:`step` takes, what every run with a field
+takes, and what the closed-form tests pin.
+
+A level step reads everything it needs from one fused level sum,
+W g^2 with W = [p0 o (1, m, m^2, s, (c+s)^2, (c-s)^2); U] (p0 = diag rho0,
+U the upper triangle of |D|^2 with doubled off-diagonal): row 0 is the
+trace factor, the next rows over the trace are pi(F_z), pi(F_z^2), the
+homodyne drift and the two count rates, and the last d rows give purity
+as the symmetric sum over level pairs i <= j. fx is a level sum over the
+sub-diagonal. How a level sum runs depends on d alone (LEVEL_LOOP_MAX):
+with few levels, as a fixed-order loop over the levels, one ufunc call per
+level on batch-long vectors; with more, as one matrix-vector product per
+state, for which g is kept with each state's levels contiguous in memory.
+Either way each sum runs over one state's own terms in an order fixed by
+d, so a state's results have the same bits in a batch of any width.
+Nothing is summed across states (as a matrix product over the batch
+would), and nothing along the level axis of a 2-d array, where numpy
+switches to pairwise summation in an order that depends on the width.
+
+The field rotations come from one cached eigendecomposition of F_y per
+spin space: exp(-i theta F_y) = V exp(-i theta Lambda) V^dagger.
 
 :func:`step` advances one :class:`FilterState` by one observation; every
 run along the time grid goes through the one propagation loop of
@@ -74,7 +90,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spin_algebra import DensityState, make_spin_ops, coherent_x_state, EPS_POS
 from .generators import ModelParams
@@ -83,6 +98,10 @@ SCHEMES = ("polarimetry", "homodyne", "limit")
 MODES = ("normalized", "linear")
 
 JUMP_BOUND = 0.1
+
+# The rows of FilterKernels.level_rows: what one fused level sum per step
+# weighs the diagonal with (row 0 gives the trace).
+LEVEL_ROWS = ("1", "F_z", "F_z^2", "sin(kappa F_z)", "L_xi^2", "L_eta^2")
 
 # A recorded count whose predicted probability is below this (relative to the
 # pre-jump trace) is numerically impossible and flags an inconsistent record.
@@ -152,11 +171,16 @@ class FilterState:
 
 
 class LevelSchur(NamedTuple):
-    """The homodyne Schur factor split for level states: C = C_hat o (q q^T), diag(C_hat) = 1."""
+    """The homodyne step for level states: C = C_hat o (q q^T), diag(C_hat) = 1, q = exp(-a^2 dt s^2 / 2).
 
-    q: np.ndarray           # exp(-a^2 dt s^2 / 2), folded into the level weights
+    q is folded into the step factors g, so a level step multiplies the
+    weights by q g = exp(a s dy - a^2 dt s^2) and the shared factor by C_hat.
+    """
+
+    a_s: np.ndarray         # a s
+    b: np.ndarray           # a^2 dt s^2
     C_hat: np.ndarray       # exp(-a^2 dt (c_i - c_j)^2 / 2)
-    C_hat2: np.ndarray      # C_hat^2, for |D|^2
+    sums_factor: np.ndarray # the factor of the fused-sum weights: 1 on the level rows, C_hat^2 on |D|^2's
     C_hat_sub: np.ndarray   # sub-diagonal of C_hat, for fx
 
 
@@ -172,6 +196,7 @@ class FilterKernels:
     s: np.ndarray             # sin(kappa m)
     lxi2: np.ndarray          # (c+s)^2 diagonal of L_xi^2
     leta2: np.ndarray         # (c-s)^2
+    level_rows: np.ndarray    # rows 1, m, m^2, s, (c+s)^2, (c-s)^2: the weights of one fused level sum
     count_rows: np.ndarray    # rows 1, c+s, c-s: the level factor of event code 0 (none), 1 (xi), 2 (eta)
     K_xi: np.ndarray          # outer(c+s, c+s): count-update mask
     K_eta: np.ndarray
@@ -201,20 +226,23 @@ def build_kernels(params: ModelParams) -> FilterKernels:
     C_levels = {}
     for a in drives:   # c_i c_j - 1 = -(c_i - c_j)^2 / 2 - (s_i^2 + s_j^2) / 2
         c_hat = np.exp(-0.5 * a * a * params.dt * np.subtract.outer(c, c) ** 2)
-        C_levels[a] = LevelSchur(np.exp(-0.5 * a * a * params.dt * s**2), c_hat, c_hat**2, np.diagonal(c_hat, -1).copy())
+        sums_factor = np.vstack([np.ones((len(LEVEL_ROWS), space.dim)), c_hat**2])
+        C_levels[a] = LevelSchur(a * s, a * a * params.dt * s**2, c_hat, sums_factor, np.diagonal(c_hat, -1).copy())
     U = U_half = None
     if params.B != 0.0:
-        U = expm(-1j * params.B * params.dt * f_y)
-        U_half = expm(-0.5j * params.B * params.dt * f_y)
+        U = _fy_rotation(space, params.B * params.dt)
+        U_half = _fy_rotation(space, 0.5 * params.B * params.dt)
+    level_rows = np.stack([np.ones_like(c), m, m**2, s, lxi**2, leta**2])
     kern = FilterKernels(
         dim=space.dim,
         dt=params.dt,
         levels=m,
-        levels2=m**2,
+        levels2=level_rows[2],
         c=c,
         s=s,
-        lxi2=lxi**2,
-        leta2=leta**2,
+        lxi2=level_rows[4],
+        leta2=level_rows[5],
+        level_rows=level_rows,
         count_rows=np.stack([np.ones_like(c), lxi, leta]),
         K_xi=np.outer(lxi, lxi).astype(complex),
         K_eta=np.outer(leta, leta).astype(complex),
@@ -232,6 +260,25 @@ def build_kernels(params: ModelParams) -> FilterKernels:
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return kern
+
+
+@lru_cache(maxsize=16)
+def _fy_eigh(space):
+    """The spectral decomposition (Lambda, V) of F_y, once per spin space (read-only)."""
+    w, v = np.linalg.eigh(make_spin_ops(space)[1])
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _fy_rotation(space, theta):
+    """exp(-i theta F_y) = V exp(-i theta Lambda) V^dagger, from the cached eigh of F_y.
+
+    F_y is imaginary, so the rotation is real; its imaginary part is rounding
+    and is dropped, which keeps real states exactly real.
+    """
+    w, v = _fy_eigh(space)
+    return ((v * np.exp(-1j * theta * w)) @ v.conj().T).real.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +305,11 @@ def _check_dt(kern: FilterKernels, dt):
 def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
     """sigma_ij <- schur_ij g_i sigma_ij g_j, Strang-split around the field rotation.
 
-    g is (d,) or one row per state; schur, if given, is a PSD matrix, so by
-    the Schur product theorem the step maps positive states to positive states.
+    g is (d,) or level-major (d, batch); schur, if given, is a PSD matrix, so
+    by the Schur product theorem the step maps positive states to positive
+    states.
     """
+    g = g.T
     G = g[..., :, None] * g[..., None, :]
     if schur is not None:
         G *= schur
@@ -269,14 +318,26 @@ def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
     return _rotate(G * _rotate(sigma, kern.U_half), kern.U_half)
 
 
-def _homodyne_rows(kern: FilterKernels, dt, dy, a_t):
-    """Homodyne step rows g = exp(-a^2 dt s^2 / 2 + a dy s), one row per dy."""
-    return np.exp(a_t * (np.asarray(dy)[..., None] * kern.s - 0.5 * a_t * dt * kern.s**2))
+def _level_factors(a, b, dy):
+    """exp(a_i dy - b_i) for every level i and every dy (a scalar or a vector), level-major.
+
+    The shape is (d,) + dy.shape, laid out as LevelState keeps its weights:
+    each level's factors contiguous for few levels, each dy's for more.
+    """
+    dy = np.asarray(dy)
+    if len(a) > LEVEL_LOOP_MAX:
+        return np.exp(np.multiply.outer(dy, a) - b).T
+    return np.exp(np.multiply.outer(a, dy) - b.reshape(b.shape + (1,) * dy.ndim))
 
 
-def _limit_rows(kern: FilterKernels, dt, dy):
-    """Limit step rows h = exp(-M dt m^2 + sqrt(M) dy m), one row per dy."""
-    return np.exp(kern.sqrt_M * np.asarray(dy)[..., None] * kern.levels - kern.M * dt * kern.levels2)
+def _homodyne_factors(kern: FilterKernels, dt, dy, a_t):
+    """Homodyne step factors g = exp(-a^2 dt s^2 / 2 + a dy s), level-major."""
+    return _level_factors(a_t * kern.s, 0.5 * a_t * a_t * dt * kern.s**2, dy)
+
+
+def _limit_factors(kern: FilterKernels, dt, dy):
+    """Limit step factors h = exp(-M dt m^2 + sqrt(M) dy m), level-major."""
+    return _level_factors(kern.sqrt_M * kern.levels, kern.M * dt * kern.levels2, dy)
 
 
 def pol_drift_raw(sigma, kern: FilterKernels, dt):
@@ -306,7 +367,7 @@ def homodyne_raw(sigma, kern: FilterKernels, dt, dy, a_t):
     elementwise and g = exp(-a^2 dt s^2 / 2 + a dy s).
     """
     _check_dt(kern, dt)
-    return _diagonal_step(sigma, kern, _homodyne_rows(kern, dt, dy, a_t), kern.C[a_t])
+    return _diagonal_step(sigma, kern, _homodyne_factors(kern, dt, dy, a_t), kern.C[a_t])
 
 
 def limit_raw(sigma, kern: FilterKernels, dt, dy):
@@ -316,7 +377,7 @@ def limit_raw(sigma, kern: FilterKernels, dt, dy):
     h = exp(-M dt F_z^2 + sqrt(M) dy F_z).
     """
     _check_dt(kern, dt)
-    return _diagonal_step(sigma, kern, _limit_rows(kern, dt, dy))
+    return _diagonal_step(sigma, kern, _limit_factors(kern, dt, dy))
 
 
 def min_eig_hermitian(rho):
@@ -351,79 +412,139 @@ def project_positive(rho, floor: float = EPS_POS):
     return out / tr
 
 
+# Level sums over at most this many F_z levels run as a fixed-order loop over
+# their terms, one ufunc call per term on batch-long vectors; with more levels
+# they run as one matrix-vector product per state. Set from measured step
+# costs (BENCH_3.json): at J = 1/2 and J = 1 the loop makes a wide step about
+# a quarter cheaper and a batch-of-one step 10-25% dearer; from J = 2 up it
+# loses. J = 1 stays on the products per state so that replays, which run as
+# batches of one, do not get dearer.
+LEVEL_LOOP_MAX = 2
+
+
+def _level_sums(W, x, d):
+    """The weighted sums sum_i W[k, i] x[i, b], as a (k, batch) array.
+
+    x is level-major: one row per term i, holding its value for every state
+    b. The level count d alone picks the algorithm, and each sum runs over
+    one state's own terms in a fixed order, so a state's sums have the same
+    bits in a batch of any width. Nothing is reduced across states, and
+    nothing along an axis of a 2-d array, where numpy switches to pairwise
+    summation. The products read each state's terms contiguously (copied if
+    they are not), since BLAS sums strided and contiguous vectors in
+    different orders.
+    """
+    if d > LEVEL_LOOP_MAX:
+        return np.matmul(np.ascontiguousarray(x.T)[:, None, :], W.T)[:, 0].T
+    acc = W[:, :1] * x[0]
+    for i in range(1, len(x)):
+        acc += W[:, i : i + 1] * x[i]
+    return acc
+
+
+def _level_dot(x, y, d):
+    """sum_i x[i, b] y[i, b] for each state b, by the rule of _level_sums."""
+    if d > LEVEL_LOOP_MAX:
+        return np.vecdot(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+    acc = x[0] * y[0]
+    for i in range(1, d):
+        acc += x[i] * y[i]
+    return acc
+
+
 class _SharedFactor(NamedTuple):
-    """The (d, d) factor D of a LevelState batch, with what its moments read of it."""
+    """The (d, d) factor D of a LevelState batch, with what its step sums read of it."""
 
     D: np.ndarray
     p0: np.ndarray      # diag(D), real: rho0's diagonal
-    abs2: np.ndarray    # |D_ij|^2
+    W: np.ndarray       # weights of the fused level sum: p0 o kern.level_rows, then U (below)
     fx_w: np.ndarray    # 2 F_x[i+1, i] Re D[i+1, i]
 
     @classmethod
     def of(cls, D, kern: FilterKernels):
-        return cls(D, D.diagonal().real.copy(), D.real**2 + D.imag**2, 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
+        p0 = D.diagonal().real.copy()
+        abs2 = D.real**2 + D.imag**2
+        U = 2.0 * np.triu(abs2, 1) + np.diag(p0**2)   # |D|^2 over i <= j, off-diagonal doubled
+        return cls(D, p0, np.vstack([p0 * kern.level_rows, U]), 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
 
     def times(self, sc: LevelSchur):
         """The factor D o C_hat."""
-        return _SharedFactor(self.D * sc.C_hat, self.p0, self.abs2 * sc.C_hat2, self.fx_w * sc.C_hat_sub)
+        return _SharedFactor(self.D * sc.C_hat, self.p0, self.W * sc.sums_factor, self.fx_w * sc.C_hat_sub)
 
 
 class LevelState:
     """A batch of B = 0 filter states in the F_z basis: rho = D o (g g^T).
 
-    g is (batch, d) real, one row of level weights per state; D = rho0 o
-    C_hat(t) is one (d, d) factor that the batch shares. The per-level part
-    of every step factor is folded into g, so D's diagonal stays rho0's and
-    renormalizing means scaling g by 1/sqrt(tr). Levels that rho0 leaves
-    empty keep the weight 0, since no record can lift them.
+    g is (d, batch) real and level-major: column b holds the level weights of
+    state b. With at most LEVEL_LOOP_MAX levels each level's weights are one
+    contiguous batch-long vector; with more, each state's levels are
+    contiguous in memory, for the products per state. D = rho0 o C_hat(t) is
+    one (d, d) factor that the batch shares. The per-level part of every step
+    factor is folded into g, so D's diagonal stays rho0's and renormalizing
+    means scaling g by 1/sqrt(tr). Levels that rho0 leaves empty keep the
+    weight 0, since no record can lift them.
+
+    A normalized state (from :func:`finish_step`) carries its moments:
+    ``means``, the (5, batch) rows pi(F_z), pi(F_z^2), pi(sin kappa F_z),
+    pi(L_xi^2) and pi(L_eta^2), and ``fx`` and ``purity``. A raw step output
+    carries None.
     """
 
-    __slots__ = ("g", "shared", "_g2", "_p")
+    __slots__ = ("g", "shared", "means", "fx", "purity")
 
-    def __init__(self, g, shared: _SharedFactor):
+    def __init__(self, g, shared: _SharedFactor, means=None, fx=None, purity=None):
         self.g = g
         self.shared = shared
-        self._g2 = self._p = None
+        self.means = means
+        self.fx = fx
+        self.purity = purity
 
     @classmethod
     def initial(cls, rho0, batch, kern: FilterKernels):
         shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern)
-        g = np.broadcast_to((shared.p0 > 0.0).astype(float), (batch, kern.dim)).copy()
-        return cls(g, shared)
+        g = np.broadcast_to((shared.p0 > 0.0).astype(float)[:, None], (kern.dim, batch)).copy()
+        return cls(g, shared)._normalized()[0]
 
     @property
     def shape(self):
-        return (*self.g.shape, self.g.shape[-1])
+        d, batch = self.g.shape
+        return (batch, d, d)
 
     def diagonal(self):
         """diag(rho) = diag(D) g^2, (batch, d) real."""
-        if self._p is None:
-            self._p = self.shared.p0 * self.g2()
-        return self._p
-
-    def g2(self):
-        if self._g2 is None:
-            self._g2 = self.g * self.g
-        return self._g2
+        return (self.shared.p0[:, None] * (self.g * self.g)).T
 
     def matrix(self):
         """The (batch, d, d) states."""
-        return self.shared.D * (self.g[:, :, None] * self.g[:, None, :])
+        g = self.g.T
+        return self.shared.D * (g[:, :, None] * g[:, None, :])
 
-    def fx(self):
-        """trace(rho F_x), from the sub-diagonal since F_x is tridiagonal."""
-        return np.vecdot(self.g[:, 1:] * self.g[:, :-1], self.shared.fx_w)
+    def _normalized(self):
+        """(This batch at unit trace with its moments, the traces).
 
-    def purity(self):
-        """trace(rho^2) = (g^2)^T |D|^2 (g^2), one matrix-vector product per state."""
-        g2 = self.g2()
-        return np.vecdot(np.matmul(g2[:, None, :], self.shared.abs2)[:, 0], g2)
+        One fused level sum W g^2 gives the trace (row 0), the means (over the
+        trace) and z_i = sum_{j >= i} U_ij g^2_j, so purity = sum_ij
+        |D_ij|^2 g^2_i g^2_j is the symmetric sum over i <= j, sum_i g^2_i z_i
+        over tr^2. fx = trace(rho F_x) is a level sum over the sub-diagonal,
+        since F_x is tridiagonal.
+        """
+        g, sh = self.g, self.shared
+        d = len(g)
+        if d > LEVEL_LOOP_MAX:   # lay each state's levels out contiguously, once, for the dot products
+            g = np.ascontiguousarray(g.T).T
+        g2 = g * g
+        sums = _level_sums(sh.W, g2, d)
+        tr = _checked_trace(sums[0])
+        inv = 1.0 / tr
+        g = g * np.sqrt(inv)
+        n = len(LEVEL_ROWS)
+        fx = _level_sums(sh.fx_w[None], g[1:] * g[:-1], d)[0]
+        purity = _level_dot(g2, sums[n:], d) * (inv * inv)
+        return LevelState(g, sh, sums[1:n] * inv, fx, purity), tr
 
-    def scaled(self, rows, schur: LevelSchur = None):
-        """rho_ij <- C_ij rows_i rho_ij rows_j, with C = schur.C_hat o (schur.q schur.q^T) or 1."""
-        if schur is None:
-            return LevelState(self.g * rows, self.shared)
-        return LevelState(self.g * (rows * schur.q), self.shared.times(schur))
+    def scaled(self, factors, schur: LevelSchur = None):
+        """rho_ij <- C_ij f_i rho_ij f_j, with level-major factors f and C = schur.C_hat or 1."""
+        return LevelState(self.g * factors, self.shared if schur is None else self.shared.times(schur))
 
 
 def _checked_trace(tr):
@@ -436,13 +557,14 @@ def finish_step(raw):
     """Read the trace factor of a step's output and renormalize it.
 
     Returns (state with unit trace, trace factor). A matrix (or batch) is
-    hermitized first; a LevelState is already Hermitian and has its weights
-    scaled by 1/sqrt(tr). The updates are positive by construction, so
-    nothing is screened or projected here.
+    hermitized first. A LevelState is already Hermitian: one fused level sum
+    W g^2 gives its trace (row 0) and the moments that the renormalized
+    state carries; its weights are scaled by 1/sqrt(tr). The
+    updates are positive by construction, so nothing is screened or
+    projected here.
     """
     if isinstance(raw, LevelState):
-        tr = _checked_trace(np.vecdot(raw.g2(), raw.shared.p0))
-        return LevelState(raw.g * (1.0 / np.sqrt(tr))[:, None], raw.shared), tr
+        return raw._normalized()
     out = raw + _dagger(raw)
     tr = _checked_trace(0.5 * _btrace(out))
     out *= 0.5 / (tr[..., None, None] if out.ndim > 2 else tr)
@@ -507,11 +629,12 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     if scheme == "homodyne":
         a = params.alpha_of(t)
         if levels:
-            return rho.scaled(_homodyne_rows(kern, params.dt, obs, a), kern.C_levels[a])
+            sc = kern.C_levels[a]
+            return rho.scaled(_level_factors(sc.a_s, sc.b, obs), sc)
         return homodyne_raw(rho, kern, params.dt, obs, a)
     if scheme == "limit":
         if levels:
-            return rho.scaled(_limit_rows(kern, params.dt, obs))
+            return rho.scaled(_limit_factors(kern, params.dt, obs))
         return limit_raw(rho, kern, params.dt, obs)
     raw = rho if levels else pol_drift_raw(rho, kern, params.dt)   # the drift is the identity for B = 0
     obs = np.asarray(obs)
@@ -519,7 +642,7 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
         return raw
     _check_counts(raw.diagonal() if levels else np.einsum("...ii->...i", raw).real, obs, kern)
     if levels:
-        return rho.scaled(kern.count_rows[obs])
+        return rho.scaled(kern.count_rows[obs].T)
     for code, channel in ((1, "xi"), (2, "eta")):
         hit = obs == code   # a 0-d mask selects a single state as a batch of one
         if np.count_nonzero(hit):
@@ -578,7 +701,7 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
     diffusive schemes. The record is replayed as a batch of one through the
     co-simulation loop, :func:`spinprobe.trajectory._simulate_block`.
     """
-    from .trajectory import _FullCollector, _simulate_block   # trajectory imports this module
+    from .trajectory import _ReplayCollector, _simulate_block   # trajectory imports this module
 
     rho0 = FilterState.initial(scheme, mode, params, rho0).rho
     check_jump_bound(scheme, params, params.time_grid()[:-1])
@@ -590,7 +713,7 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
         raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
     if scheme != "polarimetry" and not np.all(np.isfinite(observations)):
         raise ValueError("diffusive observations dy must be finite")
-    col = _FullCollector(scheme, n, 1, len(rho0), keep_states)
+    col = _ReplayCollector(n, 1, len(rho0), keep_states)
     _simulate_block(scheme, params, None, [0], rho0, col, observations[None])
     loglik = col.loglik[0] if mode == "linear" else np.zeros(n + 1)
     return FilterRun(

@@ -12,9 +12,12 @@ Compute batches and reduction slices are separate. An ensemble advances
 its trajectories in as many contiguous compute batches as it has threads
 (one batch of all N on one thread), each made of whole slices of
 :data:`BLOCK` rows. Sums are kept per slice and added in slice order, so
-the partition into slices alone fixes the reduction order. Every per-row
-quantity is an elementwise operation or a per-row reduction (``np.vecdot``,
-a sum over the row's last axis), never a matrix product across rows, so a
+the partition into slices alone fixes the reduction order. Every
+per-trajectory quantity is an elementwise operation or a sum over that
+trajectory's own terms in a fixed order (a per-row ``np.vecdot`` or
+matrix-vector product, or a loop over the F_z levels of elementwise adds;
+see :class:`spinprobe.filters.LevelState`), never a matrix product across
+trajectories and never a numpy reduction along an axis of the batch, so a
 trajectory's path, moments and terminal values are bit-identical in a batch
 of any width, a batch of one included. Runs are therefore bit-identical for
 any thread count, and a replay or a per-trajectory record equals its
@@ -23,13 +26,16 @@ ensemble row exactly.
 :func:`_simulate_block` is the one loop that steps filters along the time
 grid. It draws each step's observations from the Philox streams, or reads
 them from a given record: :func:`spinprobe.filters.run_filter` replays a
-record as a batch of one through it. Without a field (B = 0) the loop
-carries the batch as a :class:`spinprobe.filters.LevelState` (d real
-weights per trajectory and one shared d x d factor), reads the diagonal
-and moments from it in O(d) per trajectory, and builds d x d states only
-at ensemble snapshots and for records that keep their states. With a field
-it carries the (batch, d, d) matrices, and takes the matrix step, which is
-the reference for the level representation.
+record as a batch of one through it, into a collector that keeps only the
+moments, loglik and states. Without a field (B = 0) the loop carries the
+batch as a :class:`spinprobe.filters.LevelState` (d real weights per
+trajectory and one shared d x d factor) and reads each step's trace
+factor, moments, drift and count rates from the one fused level sum that
+:func:`spinprobe.filters.finish_step` takes; it builds d x d states only at
+ensemble snapshots and for records that keep their states. With a field it
+carries the (batch, d, d) matrices, takes the matrix step, which is the
+reference for the level representation, and reads the same means from one
+level sum over the diagonals.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -122,11 +128,10 @@ class EnsembleSummary:
         }
 
 
-class _FullCollector:
-    """Retains everything needed to build per-trajectory records."""
+class _ReplayCollector:
+    """Keeps what a replay returns: the moments and loglik per step and, if asked, the states."""
 
-    def __init__(self, scheme, n, batch, dim, keep_states):
-        self.scheme = scheme
+    def __init__(self, n, batch, dim, keep_states):
         shape = (batch, n + 1)
         self.fx = np.zeros(shape)
         self.fz = np.zeros(shape)
@@ -135,42 +140,44 @@ class _FullCollector:
         self.purity = np.zeros(shape)
         self.loglik = np.zeros(shape)
         self.states = np.zeros((batch, n + 1, dim, dim), dtype=complex) if keep_states else None
-        if scheme == "polarimetry":
-            self.events = np.zeros((batch, n), dtype=np.int8)
-            self.inn_xi = np.zeros(shape)
-            self.inn_eta = np.zeros(shape)
-        else:
-            self.dy = np.zeros((batch, n))
-            self.inn = np.zeros(shape)
 
     def start(self, rho, moments):
-        self._set_moments(0, moments, np.zeros(rho.shape[0]))
-        if self.states is not None:
-            self.states[:, 0] = _matrix(rho)
+        self._set(0, rho, moments, 0.0)
 
-    def _set_moments(self, idx, moments, loglik):
-        fx, fz, fz2, var_z, purity = moments
-        self.fx[:, idx] = fx
-        self.fz[:, idx] = fz
-        self.fz2[:, idx] = fz2
-        self.var_z[:, idx] = var_z
-        self.purity[:, idx] = purity
+    def step(self, i, obs, pred, rho, moments, loglik):
+        self._set(i + 1, rho, moments, loglik)
+
+    def _set(self, idx, rho, moments, loglik):
+        self.fx[:, idx], self.fz[:, idx], self.fz2[:, idx], self.var_z[:, idx], self.purity[:, idx] = moments
         self.loglik[:, idx] = loglik
-
-    def step_counting(self, i, ev, inn_xi_inc, inn_eta_inc, rho, moments, loglik):
-        self.events[:, i] = ev
-        self.inn_xi[:, i + 1] = self.inn_xi[:, i] + inn_xi_inc
-        self.inn_eta[:, i + 1] = self.inn_eta[:, i] + inn_eta_inc
-        self._set_moments(i + 1, moments, loglik)
         if self.states is not None:
-            self.states[:, i + 1] = _matrix(rho)
+            self.states[:, idx] = _matrix(rho)
 
-    def step_diffusive(self, i, dy, inn_inc, rho, moments, loglik):
-        self.dy[:, i] = dy
-        self.inn[:, i + 1] = self.inn[:, i] + inn_inc
-        self._set_moments(i + 1, moments, loglik)
-        if self.states is not None:
-            self.states[:, i + 1] = _matrix(rho)
+
+class _FullCollector(_ReplayCollector):
+    """Also keeps the record and the innovations, to build per-trajectory records."""
+
+    def __init__(self, scheme, n, batch, dim, keep_states):
+        super().__init__(n, batch, dim, keep_states)
+        self.scheme = scheme
+        if scheme == "polarimetry":
+            self.events = np.zeros((batch, n), dtype=np.int8)
+            self.inn_xi = np.zeros((batch, n + 1))
+            self.inn_eta = np.zeros((batch, n + 1))
+        else:
+            self.dy = np.zeros((batch, n))
+            self.inn = np.zeros((batch, n + 1))
+
+    def step(self, i, obs, pred, rho, moments, loglik):
+        if self.scheme == "polarimetry":
+            q_xi, q_eta = pred
+            self.events[:, i] = obs
+            self.inn_xi[:, i + 1] = self.inn_xi[:, i] + ((obs == 1) - q_xi)
+            self.inn_eta[:, i + 1] = self.inn_eta[:, i] + ((obs == 2) - q_eta)
+        else:
+            self.dy[:, i] = obs
+            self.inn[:, i + 1] = self.inn[:, i] + (obs - pred)
+        super().step(i, obs, pred, rho, moments, loglik)
 
 
 class _ReducedCollector:
@@ -231,19 +238,19 @@ class _ReducedCollector:
         self._store(0, moments)
         self._snapshot(0, rho)
 
-    def step_counting(self, i, ev, inn_xi_inc, inn_eta_inc, rho, moments, loglik):
-        self.cum_inn_xi += inn_xi_inc
-        self.cum_inn_eta += inn_eta_inc
-        self.n_xi += ev == 1
-        self.n_eta += ev == 2
-        self._store(i + 1, moments)
-        self._snapshot(i + 1, rho)
-        self.loglik = loglik
-
-    def step_diffusive(self, i, dy, inn_inc, rho, moments, loglik):
-        self.cum_inn += inn_inc
-        self.cum_y += dy
-        self.qv += inn_inc**2
+    def step(self, i, obs, pred, rho, moments, loglik):
+        if self.scheme == "polarimetry":
+            q_xi, q_eta = pred
+            hit_xi, hit_eta = obs == 1, obs == 2
+            self.cum_inn_xi += hit_xi - q_xi
+            self.cum_inn_eta += hit_eta - q_eta
+            self.n_xi += hit_xi
+            self.n_eta += hit_eta
+        else:
+            inn = obs - pred
+            self.cum_inn += inn
+            self.cum_y += obs
+            self.qv += inn**2
         self._store(i + 1, moments)
         self._snapshot(i + 1, rho)
         self.loglik = loglik
@@ -279,24 +286,22 @@ def _matrix(rho):
     return rho.matrix() if isinstance(rho, filters.LevelState) else rho
 
 
-def _diagonal(rho):
-    """The (batch, d) real diagonals of either representation."""
-    if isinstance(rho, filters.LevelState):
-        return rho.diagonal()
-    return np.einsum("bii->bi", rho).real
+def _moments(rho, kern):
+    """The moments (fx, fz, fz2, var_z, purity) of a batch of unit-trace states, and their means.
 
-
-def _moments(rho, p, kern):
-    """(fx, fz, fz2, var_z, purity) of states rho with diagonals p, each reduced row by row."""
+    The means are the (5, batch) rows pi(F_z), pi(F_z^2), pi(sin kappa F_z),
+    pi(L_xi^2) and pi(L_eta^2): a LevelState carries them from its fused step
+    sum; for matrices they are one level sum over the diagonals.
+    """
     if isinstance(rho, filters.LevelState):
-        fx, purity = rho.fx(), rho.purity()
+        means, fx, purity = rho.means, rho.fx, rho.purity
     else:   # F_x is tridiagonal; rho is Hermitian, so trace(rho^2) = sum |rho_ij|^2
+        means = filters._level_sums(kern.level_rows[1:], rho.diagonal(0, 1, 2).real.T, kern.dim)
         fx = 2.0 * np.vecdot(np.diagonal(rho, -1, -2, -1).real, kern.F_x_sub)
         flat = rho.reshape(len(rho), -1)
         purity = np.vecdot(flat, flat).real
-    fz = np.vecdot(p, kern.levels)
-    fz2 = np.vecdot(p, kern.levels2)
-    return fx, fz, fz2, fz2 - fz**2, purity
+    fz, fz2 = means[0], means[1]
+    return (fx, fz, fz2, fz2 - fz**2, purity), means
 
 
 def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observations=None):
@@ -305,7 +310,9 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     Without observations, each step's observation is sampled from the
     predictive law with one noise draw per trajectory. Given a (batch, n)
     array of event codes or dy values, the record is replayed instead and
-    base_seed is not used.
+    base_seed is not used. Each step hands the collector the observations
+    and their prediction: the count probabilities (q_xi, q_eta), or the
+    drift times dt of dy.
     """
     kern = build_kernels(params)
     n = params.n_steps
@@ -319,43 +326,30 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     noise = None if observations is not None else _Noise(scheme, base_seed, indices, n)
 
     loglik = np.zeros(batch)
-    p = _diagonal(rho)
-    moments = _moments(rho, p, kern)
+    moments, means = _moments(rho, kern)
     collector.start(rho, moments)
 
     sqdt = np.sqrt(dt)
     for i in range(n):
         t = i * dt
         if scheme == "polarimetry":
-            a2 = params.drive_power(t)
-            r_xi = 0.5 * a2 * np.vecdot(p, kern.lxi2)
-            r_eta = 0.5 * a2 * np.vecdot(p, kern.leta2)
-            q_xi, q_eta = r_xi * dt, r_eta * dt   # predicted count probabilities
+            half_a2dt = 0.5 * params.drive_power(t) * dt
+            pred = q_xi, q_eta = half_a2dt * means[3], half_a2dt * means[4]   # predicted count probabilities
             if noise is None:
                 obs = observations[:, i]
-                hit_xi = obs == 1
-            else:   # xi if u < q_xi, else eta if u < (r_xi + r_eta) dt
+            else:   # xi if u < q_xi, else eta if u < q_xi + q_eta
                 u = noise(i)
-                hit_xi = u < q_xi
-                obs = 2 * (u < (r_xi + r_eta) * dt).view(np.int8) - hit_xi
-            hit_eta = obs == 2
+                obs = 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
         else:
             if scheme == "homodyne":
-                pred = 2.0 * params.alpha_of(t) * np.vecdot(p, kern.s)
-            else:   # pi(F_z) is the fz of the moments just taken
-                pred = 2.0 * kern.sqrt_M * moments[1]
-            mean = pred * dt
-            obs = observations[:, i] if noise is None else mean + sqdt * noise(i)
+                pred = 2.0 * params.alpha_of(t) * dt * means[2]
+            else:
+                pred = 2.0 * kern.sqrt_M * dt * means[0]
+            obs = observations[:, i] if noise is None else pred + sqdt * noise(i)
         rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
         loglik = loglik + np.log(tr)
-        p = _diagonal(rho)
-        moments = _moments(rho, p, kern)
-        if scheme == "polarimetry":
-            inn_xi = hit_xi.astype(float) - q_xi
-            inn_eta = hit_eta.astype(float) - q_eta
-            collector.step_counting(i, obs, inn_xi, inn_eta, rho, moments, loglik)
-        else:
-            collector.step_diffusive(i, obs, obs - mean, rho, moments, loglik)
+        moments, means = _moments(rho, kern)
+        collector.step(i, obs, pred, rho, moments, loglik)
     return collector
 
 

@@ -249,6 +249,14 @@ def test_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_converge_rejects_bad_alpha_list(tmp_path, capsys):
+    rc = main(["converge", "--J", "1/2", "--M", "1.0", "--T", "1.0",
+               "--alpha-list", "2,x", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_rejected(tmp_path, capsys, threads):
     rc = main(["ensemble", "--J", "1/2", "--alpha", "2.0", "--kappa", "0.2", "--T", "0.01",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinprobe.spin_algebra import SpinSpace, coherent_x_state, random_density, l_xi_eta
+from spinprobe.spin_algebra import SpinSpace, coherent_x_state, make_spin_ops, random_density, l_xi_eta
 from spinprobe.generators import ModelParams, lindblad_schrodinger
 from spinprobe import trajectory as traj
 from spinprobe.filters import (
@@ -466,10 +466,14 @@ def test_step_functions_match_run_filter():
         st = step(st, ObservationIncrement.diffusive(dy, p.dt), p)
     assert np.max(np.abs(st.rho - run.states[-1])) < 1e-13
 
-    # run_filter keeps B = 0 states as level weights; filters.step is the matrix
-    # reference. At B = 0.5 both sides take the matrix step.
-    for scheme, j, B in [(s, 5.0, 0.0) for s in ("polarimetry", "homodyne", "limit")] + [("homodyne", 2.0, 0.5)]:
+    # run_filter keeps B = 0 states as level weights, on both sides of
+    # LEVEL_LOOP_MAX; filters.step is the matrix reference. At B = 0.5 both
+    # sides take the matrix step. The moments come from the level sums, not
+    # from the states, so they are checked against the reference states too.
+    cases = [(s, j, 0.0) for j in (0.5, 1.5, 5.0) for s in ("polarimetry", "homodyne", "limit")]
+    for scheme, j, B in cases + [("homodyne", 2.0, 0.5)]:
         p = params_for(j=j, alpha=2.0, kappa=0.25, B=B, dt=1e-3, T=0.2)
+        f_x, _, f_z = make_spin_ops(p.space)
         if scheme == "polarimetry":
             record = rng.choice(3, size=p.n_steps, p=[0.96, 0.02, 0.02])
             obs = [ObservationIncrement.none(p.dt) if ev == 0 else
@@ -483,6 +487,23 @@ def test_step_functions_match_run_filter():
             st = step(st, ob, p)
             assert np.max(np.abs(st.rho - run.states[k + 1])) < 1e-12, (scheme, j, k)
             assert st.loglik == pytest.approx(run.loglik[k + 1], abs=1e-12)
+            fz, fz2 = st.expectation(f_z), st.expectation(f_z @ f_z)
+            want = dict(fx=st.expectation(f_x), fz=fz, fz2=fz2, var_z=fz2 - fz**2, purity=st.expectation(st.rho))
+            for name, value in want.items():
+                assert getattr(run, name)[k + 1] == pytest.approx(value, abs=1e-12), (scheme, j, k, name)
+
+
+@pytest.mark.parametrize("j", [0.5, 2.0, 5.0])
+@pytest.mark.parametrize("B", [0.5, 900.0])
+def test_field_rotations_match_expm(j, B):
+    # U and U_half come from one cached eigh of F_y
+    from scipy.linalg import expm
+
+    p = params_for(j=j, B=B, T=0.01)
+    kern = build_kernels(p)
+    f_y = make_spin_ops(p.space)[1]
+    assert np.max(np.abs(kern.U - expm(-1j * B * p.dt * f_y))) < 1e-13
+    assert np.max(np.abs(kern.U_half - expm(-0.5j * B * p.dt * f_y))) < 1e-13
 
 
 def test_homodyne_strong_drive_no_diagonal_underflow():

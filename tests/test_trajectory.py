@@ -140,7 +140,7 @@ def test_thread_count_invariance(scheme, monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
-@pytest.mark.parametrize("j,B", [(0.5, 0.0), (2.0, 0.5), (5.0, 0.0)])
+@pytest.mark.parametrize("j,B", [(0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (2.0, 0.5), (5.0, 0.0)])
 def test_rows_independent_of_batch_width(scheme, j, B):
     # a trajectory's path, moments and states are the same bits in a batch of
     # any width, a batch of one included
