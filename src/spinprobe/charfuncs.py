@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trajectory import EnsembleSummary
+
 PROCESSES = ("plus", "minus", "homodyne", "limit")
 
 
@@ -99,6 +101,26 @@ def _mixture(rate_exponents, p):
     return np.exp(rate_exponents) @ p
 
 
+def _rates_and_probs(process, k, params, p, M):
+    """The per-level exponent rates at the test values k, and the level probabilities from p or rho.
+
+    The limit process reads its levels off p alone and its M from params
+    when not given; plus is level independent and takes one level of weight 1.
+    """
+    if process == "plus":
+        levels, p_vec = np.zeros(1), np.ones(1)
+    else:
+        p_vec = _diag_probs(p)
+        if process == "limit":
+            levels = (p_vec.size - 1) / 2.0 - np.arange(p_vec.size)
+            M = params.M if M is None else M
+        else:
+            levels = params.space.fz_levels()
+            if p_vec.size != levels.size:
+                raise ValueError("probability vector length does not match the spin dimension")
+    return _level_rate(process, k, params=params, M=M, levels=levels), p_vec
+
+
 def charfunc_analytic(process, k, params=None, p=None, M=None, t=None) -> CharFunc:
     """Analytic characteristic functional on a sweep of constant test values.
 
@@ -110,45 +132,14 @@ def charfunc_analytic(process, k, params=None, p=None, M=None, t=None) -> CharFu
         raise ValueError(f"unknown process {process!r}; expected one of {PROCESSES}")
     if t is None:
         t = params.T
-    if process == "limit":
-        if M is None:
-            M = params.M
-        levels = _limit_levels(p)
-        p_vec = _diag_probs(p)
-    elif process == "plus":
-        levels = np.zeros(1)
-        p_vec = np.ones(1)
-    else:
-        levels = params.space.fz_levels()
-        p_vec = _diag_probs(p)
-        if p_vec.size != levels.size:
-            raise ValueError("probability vector length does not match the spin dimension")
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    rates = _level_rate(process, k_arr, params=params, M=M, levels=levels)
+    rates, p_vec = _rates_and_probs(process, k_arr, params, p, M)
     return CharFunc(k_arr, float(t), _mixture(t * rates, p_vec))
-
-
-def _limit_levels(p):
-    p = np.asarray(p)
-    dim = p.shape[0]
-    j = (dim - 1) / 2.0
-    return j - np.arange(dim)
 
 
 def charfunc_analytic_path(process, kfun: TestFunction, params=None, p=None, M=None) -> complex:
     """Analytic functional for one piecewise-constant test function."""
-    if process == "limit":
-        if M is None:
-            M = params.M
-        levels = _limit_levels(p)
-        p_vec = _diag_probs(p)
-    elif process == "plus":
-        levels = np.zeros(1)
-        p_vec = np.ones(1)
-    else:
-        levels = params.space.fz_levels()
-        p_vec = _diag_probs(p)
-    rates = _level_rate(process, kfun.values, params=params, M=M, levels=levels)
+    rates, p_vec = _rates_and_probs(process, kfun.values, params, p, M)
     exponents = kfun.dt * rates.sum(axis=0)
     return complex(np.exp(exponents) @ p_vec)
 
@@ -173,6 +164,16 @@ def charfunc_limit_analytic(k, M, p, t) -> CharFunc:
     return charfunc_analytic("limit", k, M=M, p=p, t=t)
 
 
+# the record series (and ensemble terminal) that each process reads
+_OUTPUT_SERIES = {"plus": "y_plus", "minus": "y_minus", "homodyne": "y", "limit": "y"}
+
+
+def _output_key(process):
+    if process not in _OUTPUT_SERIES:
+        raise ValueError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    return _OUTPUT_SERIES[process]
+
+
 def pair_integral(record, process, kfun: TestFunction) -> float:
     """Pathwise pairing integral(k dY) of a record's output process.
 
@@ -180,16 +181,9 @@ def pair_integral(record, process, kfun: TestFunction) -> float:
     against the photocurrent increments; both are exact finite sums for
     piecewise-constant k.
     """
-    if process in ("plus", "minus"):
-        series = record.y_plus if process == "plus" else record.y_minus
-        if series is None:
-            raise ValueError(f"record of scheme {record.scheme!r} has no {process} series")
-    elif process == "homodyne":
-        series = record.y
-    elif process == "limit":
-        series = record.y
-    else:
-        raise ValueError(f"unknown process {process!r}")
+    series = getattr(record, _output_key(process))
+    if series is None:
+        raise ValueError(f"record of scheme {record.scheme!r} has no {process} series")
     dY = np.diff(series)
     if dY.size != kfun.values.size:
         raise ValueError("test function grid does not match the record grid")
@@ -197,23 +191,12 @@ def pair_integral(record, process, kfun: TestFunction) -> float:
 
 
 def _terminal_values(source, process):
-    from .trajectory import EnsembleSummary  # local import to avoid a cycle
-
+    key = _output_key(process)
     if isinstance(source, EnsembleSummary):
-        terms = source.terminals
-        key = {"plus": "y_plus", "minus": "y_minus", "homodyne": "y", "limit": "y"}[process]
-        if key not in terms:
+        if key not in source.terminals:
             raise ValueError(f"ensemble of scheme {source.scheme!r} has no {process} terminals")
-        return np.asarray(terms[key], dtype=float)
-    values = []
-    for rec in source:
-        if process == "plus":
-            values.append(rec.y_plus[-1])
-        elif process == "minus":
-            values.append(rec.y_minus[-1])
-        else:
-            values.append(rec.y[-1])
-    return np.asarray(values, dtype=float)
+        return np.asarray(source.terminals[key], dtype=float)
+    return np.asarray([getattr(rec, key)[-1] for rec in source], dtype=float)
 
 
 def empirical_charfunc(source, process, k) -> CharFunc:
@@ -231,13 +214,7 @@ def empirical_charfunc(source, process, k) -> CharFunc:
     z = np.exp(-1j * np.outer(k_arr, y))
     phi = z.mean(axis=1)
     se = np.sqrt(np.maximum(1.0 - np.abs(phi) ** 2, 0.0) / n)
-    t = None
-    from .trajectory import EnsembleSummary
-
-    if isinstance(source, EnsembleSummary):
-        t = float(source.t[-1])
-    else:
-        t = float(source[0].t[-1])
+    t = float((source.t if isinstance(source, EnsembleSummary) else source[0].t)[-1])
     return CharFunc(k_arr, t, phi, se)
 
 

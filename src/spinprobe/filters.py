@@ -25,29 +25,34 @@ solution:
 * limit: sigma <- h sigma h, h = exp(-M dt F_z^2 + sqrt(M) dy F_z);
 * homodyne: sigma <- C o (g sigma g), with C = exp(a^2 dt (c c^T - 1))
   elementwise, g = exp(-a^2 dt s^2 / 2 + a dy s), a = alpha(t),
-  c = cos(kappa m), s = sin(kappa m);
+  c = cos(kappa m), s = sin(kappa m). C = C_hat o (q q^T) with
+  C_hat = exp(-a^2 dt (c_i - c_j)^2 / 2) and q = exp(-a^2 dt s^2 / 2)
+  (:class:`LevelSchur`), so the step is taken as C_hat o (f sigma f) with
+  f = q g = exp(a s dy - a^2 dt s^2);
 * counting: the no-count drift is the identity, since the channel operators
-  satisfy L_xi^2 + L_eta^2 = 2, and a count multiplies by L_a sigma L_a.
+  satisfy L_xi^2 + L_eta^2 = 2, and a count multiplies by L_a sigma L_a,
+  whose factor L_a = c +- s is a row of ``count_rows``.
 
-The diagonal congruences are positive, and C is positive semidefinite (the
-elementwise exponential of a rank-one PSD matrix), so by the Schur product
-theorem every step maps positive states to positive states. A field B F_y
-enters through U_1/2 = exp(-i B F_y dt / 2): the diffusive steps are
-Strang-split as U_1/2 D(U_1/2 sigma U_1/2^dagger) U_1/2^dagger around the
-diagonal step D, and the counting step rotates by U = U_1/2^2 before the
-count. The steps are therefore exact for B = 0 and positive for any B; no
-state is screened or projected. The eigenvalue floor and
-:func:`project_positive` serve only the master-equation integrator
-:func:`spinprobe.generators.master_evolve`.
+Each scheme's step is built once, by ``_step_factors``, as level-major
+diagonal factors f plus, for homodyne, the C_hat of the drive, and both
+state representations apply those same factors. The diagonal congruences
+are positive, and C_hat is positive semidefinite (a Gaussian kernel in
+c_i), so by the Schur product theorem every step maps positive states to
+positive states. A field B F_y enters through U_1/2 = exp(-i B F_y dt / 2):
+on matrices the diffusive steps are Strang-split as
+U_1/2 D(U_1/2 sigma U_1/2^dagger) U_1/2^dagger around the diagonal step D,
+and the counting step rotates by U = U_1/2^2 before the count. The steps
+are therefore exact for B = 0 and positive for any B; no state is screened
+or projected. The eigenvalue floor and :func:`project_positive` serve only
+the master-equation integrator :func:`spinprobe.generators.master_evolve`.
 
 Without a field the probe measures F_z nondemolitionally, so a batch can
 also be carried in the F_z level basis as a :class:`LevelState`,
 rho = D o (g g^T): g holds d real weights per state, level-major, and
 D = rho0 o C_hat(t) is one (d, d) factor shared by the batch (rho0 for the
 limit and counting schemes, times the running product of the homodyne
-C_hat = exp(-a^2 dt (c_i - c_j)^2 / 2)). A step multiplies g by the
-scheme's factors: h, g times the per-level part exp(-a^2 dt s^2 / 2) of C,
-or c +- s on the states that counted; :func:`finish_step` rescales g by
+C_hat). A step multiplies g by the step factors f (c +- s only on the
+states that counted) and D by C_hat; :func:`finish_step` rescales g by
 1/sqrt(tr). D's diagonal stays rho0's, so nothing shared can underflow.
 d x d matrices are built only when asked for. The matrix step is the
 reference: it is what :func:`step` takes, what every run with a field
@@ -171,10 +176,12 @@ class FilterState:
 
 
 class LevelSchur(NamedTuple):
-    """The homodyne step for level states: C = C_hat o (q q^T), diag(C_hat) = 1, q = exp(-a^2 dt s^2 / 2).
+    """The homodyne Schur factor of one drive a: C = exp(a^2 dt (c c^T - 1)) = C_hat o (q q^T).
 
-    q is folded into the step factors g, so a level step multiplies the
-    weights by q g = exp(a s dy - a^2 dt s^2) and the shared factor by C_hat.
+    Since c_i c_j - 1 = -(c_i - c_j)^2 / 2 - (s_i^2 + s_j^2) / 2, C_hat has a
+    unit diagonal and q = exp(-a^2 dt s^2 / 2). q is folded into the step
+    factors, so both state representations multiply the levels by
+    q g = exp(a s dy - a^2 dt s^2) and take the Schur product with C_hat.
     """
 
     a_s: np.ndarray         # a s
@@ -191,22 +198,13 @@ class FilterKernels:
     dim: int
     dt: float
     levels: np.ndarray        # F_z eigenvalues m, descending
-    levels2: np.ndarray       # m^2
-    c: np.ndarray             # cos(kappa m)
     s: np.ndarray             # sin(kappa m)
-    lxi2: np.ndarray          # (c+s)^2 diagonal of L_xi^2
-    leta2: np.ndarray         # (c-s)^2
     level_rows: np.ndarray    # rows 1, m, m^2, s, (c+s)^2, (c-s)^2: the weights of one fused level sum
     count_rows: np.ndarray    # rows 1, c+s, c-s: the level factor of event code 0 (none), 1 (xi), 2 (eta)
-    K_xi: np.ndarray          # outer(c+s, c+s): count-update mask
-    K_eta: np.ndarray
-    C: Mapping                # alpha -> exp(alpha^2 dt (c c^T - 1)): homodyne Schur factor
-    C_levels: Mapping         # alpha -> LevelSchur of C
+    C_levels: Mapping         # alpha -> LevelSchur: the homodyne Schur factor of that drive
     U: np.ndarray             # exp(-i B F_y dt); None for B = 0
     U_half: np.ndarray        # exp(-i B F_y dt / 2); None for B = 0
-    F_x: np.ndarray
     F_x_sub: np.ndarray       # sub-diagonal of F_x, which is tridiagonal (real)
-    F_z: np.ndarray
     M: float
     sqrt_M: float
 
@@ -218,13 +216,9 @@ def build_kernels(params: ModelParams) -> FilterKernels:
     m = space.fz_levels()
     c = np.cos(params.kappa * m)
     s = np.sin(params.kappa * m)
-    lxi = c + s
-    leta = c - s
-    f_x, f_y, f_z = make_spin_ops(space)
     drives = {params.alpha} | {a for _, a in params.alpha_schedule or ()}
-    C = {a: np.exp(a * a * params.dt * (np.outer(c, c) - 1.0)) for a in drives}
     C_levels = {}
-    for a in drives:   # c_i c_j - 1 = -(c_i - c_j)^2 / 2 - (s_i^2 + s_j^2) / 2
+    for a in drives:
         c_hat = np.exp(-0.5 * a * a * params.dt * np.subtract.outer(c, c) ** 2)
         sums_factor = np.vstack([np.ones((len(LEVEL_ROWS), space.dim)), c_hat**2])
         C_levels[a] = LevelSchur(a * s, a * a * params.dt * s**2, c_hat, sums_factor, np.diagonal(c_hat, -1).copy())
@@ -232,31 +226,21 @@ def build_kernels(params: ModelParams) -> FilterKernels:
     if params.B != 0.0:
         U = _fy_rotation(space, params.B * params.dt)
         U_half = _fy_rotation(space, 0.5 * params.B * params.dt)
-    level_rows = np.stack([np.ones_like(c), m, m**2, s, lxi**2, leta**2])
     kern = FilterKernels(
         dim=space.dim,
         dt=params.dt,
         levels=m,
-        levels2=level_rows[2],
-        c=c,
         s=s,
-        lxi2=level_rows[4],
-        leta2=level_rows[5],
-        level_rows=level_rows,
-        count_rows=np.stack([np.ones_like(c), lxi, leta]),
-        K_xi=np.outer(lxi, lxi).astype(complex),
-        K_eta=np.outer(leta, leta).astype(complex),
-        C=MappingProxyType(C),
+        level_rows=np.stack([np.ones_like(c), m, m**2, s, (c + s) ** 2, (c - s) ** 2]),
+        count_rows=np.stack([np.ones_like(c), c + s, c - s]),
         C_levels=MappingProxyType(C_levels),
         U=U,
         U_half=U_half,
-        F_x=f_x,
-        F_x_sub=np.diagonal(f_x, -1).real.copy(),
-        F_z=f_z,
+        F_x_sub=np.diagonal(make_spin_ops(space)[0], -1).real.copy(),
         M=params.M,
         sqrt_M=np.sqrt(params.M),
     )
-    for arr in (*vars(kern).values(), *C.values(), *(x for split in C_levels.values() for x in split)):
+    for arr in (*vars(kern).values(), *(x for split in C_levels.values() for x in split)):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return kern
@@ -302,20 +286,20 @@ def _check_dt(kern: FilterKernels, dt):
         raise ValueError(f"step dt {dt} does not match the kernels' dt {kern.dt}")
 
 
-def _diagonal_step(sigma, kern: FilterKernels, g, schur=None):
-    """sigma_ij <- schur_ij g_i sigma_ij g_j, Strang-split around the field rotation.
+def _congruence(sigma, f, schur: LevelSchur = None, u_half=None):
+    """sigma_ij <- C_ij f_i sigma_ij f_j with C = schur.C_hat or 1, Strang-split around u_half if given.
 
-    g is (d,) or level-major (d, batch); schur, if given, is a PSD matrix, so
-    by the Schur product theorem the step maps positive states to positive
-    states.
+    f is (d,) or level-major (d, batch), as :meth:`LevelState.scaled` takes
+    it. C_hat is positive semidefinite, so by the Schur product theorem the
+    step maps positive states to positive states.
     """
-    g = g.T
-    G = g[..., :, None] * g[..., None, :]
+    f = f.T
+    G = f[..., :, None] * f[..., None, :]
     if schur is not None:
-        G *= schur
-    if kern.U_half is None:
+        G *= schur.C_hat
+    if u_half is None:
         return G * sigma
-    return _rotate(G * _rotate(sigma, kern.U_half), kern.U_half)
+    return _rotate(G * _rotate(sigma, u_half), u_half)
 
 
 def _level_factors(a, b, dy):
@@ -330,14 +314,18 @@ def _level_factors(a, b, dy):
     return np.exp(np.multiply.outer(a, dy) - b.reshape(b.shape + (1,) * dy.ndim))
 
 
-def _homodyne_factors(kern: FilterKernels, dt, dy, a_t):
-    """Homodyne step factors g = exp(-a^2 dt s^2 / 2 + a dy s), level-major."""
-    return _level_factors(a_t * kern.s, 0.5 * a_t * a_t * dt * kern.s**2, dy)
+def _step_factors(scheme, kern: FilterKernels, dt, obs, a_t=None):
+    """The scheme's step over dt as (level-major factors f, LevelSchur or None); see the module notes.
 
-
-def _limit_factors(kern: FilterKernels, dt, dy):
-    """Limit step factors h = exp(-M dt m^2 + sqrt(M) dy m), level-major."""
-    return _level_factors(kern.sqrt_M * kern.levels, kern.M * dt * kern.levels2, dy)
+    obs is dy (diffusive) or an event code (counting), a scalar or one value
+    per state. Both state representations apply exactly these factors.
+    """
+    if scheme == "homodyne":
+        sc = kern.C_levels[a_t]
+        return _level_factors(sc.a_s, sc.b, obs), sc
+    if scheme == "limit":
+        return _level_factors(kern.sqrt_M * kern.levels, kern.M * dt * kern.level_rows[2], obs), None
+    return kern.count_rows[obs].T, None
 
 
 def pol_drift_raw(sigma, kern: FilterKernels, dt):
@@ -353,21 +341,24 @@ def pol_drift_raw(sigma, kern: FilterKernels, dt):
     return _rotate(sigma, kern.U)
 
 
-def pol_jump_raw(sigma, kern: FilterKernels, channel: str):
-    """Count update L_a sigma L_a, unnormalized."""
-    mask = kern.K_xi if channel == "xi" else kern.K_eta
-    return mask * sigma
+def pol_jump_raw(sigma, kern: FilterKernels, channel):
+    """Count update L_a sigma L_a, unnormalized.
+
+    channel is "xi" or "eta", or per-state event codes (0 none, 1 xi, 2 eta);
+    a state with code 0 is multiplied by 1, which leaves it unchanged.
+    """
+    code = {"xi": 1, "eta": 2}[channel] if isinstance(channel, str) else channel
+    return _congruence(sigma, _step_factors("polarimetry", kern, kern.dt, code)[0])
 
 
 def homodyne_raw(sigma, kern: FilterKernels, dt, dy, a_t):
     """Exact homodyne Zakai step over dt (linear in sigma); dy is a scalar or one value per state.
 
     For B = 0 each entry solves a scalar linear SDE, so
-    sigma <- C o (g sigma g) with C = exp(a^2 dt (c c^T - 1)) taken
-    elementwise and g = exp(-a^2 dt s^2 / 2 + a dy s).
+    sigma <- C_hat o (q g sigma g q) with the factors of C_levels[a_t].
     """
     _check_dt(kern, dt)
-    return _diagonal_step(sigma, kern, _homodyne_factors(kern, dt, dy, a_t), kern.C[a_t])
+    return _congruence(sigma, *_step_factors("homodyne", kern, dt, dy, a_t), kern.U_half)
 
 
 def limit_raw(sigma, kern: FilterKernels, dt, dy):
@@ -377,7 +368,7 @@ def limit_raw(sigma, kern: FilterKernels, dt, dy):
     h = exp(-M dt F_z^2 + sqrt(M) dy F_z).
     """
     _check_dt(kern, dt)
-    return _diagonal_step(sigma, kern, _limit_factors(kern, dt, dy))
+    return _congruence(sigma, *_step_factors("limit", kern, dt, dy), kern.U_half)
 
 
 def min_eig_hermitian(rho):
@@ -586,8 +577,8 @@ def polarimetry_rates(state: FilterState, params: ModelParams, t: float = None):
     kern = build_kernels(params)
     p = np.einsum("...ii->...i", state.rho).real
     a2 = params.drive_power(t)
-    r_xi = 0.5 * a2 * p @ kern.lxi2
-    r_eta = 0.5 * a2 * p @ kern.leta2
+    r_xi = 0.5 * a2 * p @ kern.level_rows[4]
+    r_eta = 0.5 * a2 * p @ kern.level_rows[5]
     return float(r_xi), float(r_eta)
 
 
@@ -626,15 +617,12 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     (numerically) zero probability raises ValueError.
     """
     levels = isinstance(rho, LevelState)
-    if scheme == "homodyne":
-        a = params.alpha_of(t)
+    if scheme != "polarimetry":
+        a = params.alpha_of(t) if scheme == "homodyne" else None
         if levels:
-            sc = kern.C_levels[a]
-            return rho.scaled(_level_factors(sc.a_s, sc.b, obs), sc)
-        return homodyne_raw(rho, kern, params.dt, obs, a)
-    if scheme == "limit":
-        if levels:
-            return rho.scaled(_limit_factors(kern, params.dt, obs))
+            return rho.scaled(*_step_factors(scheme, kern, params.dt, obs, a))
+        if scheme == "homodyne":
+            return homodyne_raw(rho, kern, params.dt, obs, a)
         return limit_raw(rho, kern, params.dt, obs)
     raw = rho if levels else pol_drift_raw(rho, kern, params.dt)   # the drift is the identity for B = 0
     obs = np.asarray(obs)
@@ -642,12 +630,8 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
         return raw
     _check_counts(raw.diagonal() if levels else np.einsum("...ii->...i", raw).real, obs, kern)
     if levels:
-        return rho.scaled(kern.count_rows[obs].T)
-    for code, channel in ((1, "xi"), (2, "eta")):
-        hit = obs == code   # a 0-d mask selects a single state as a batch of one
-        if np.count_nonzero(hit):
-            raw[hit] = pol_jump_raw(raw[hit], kern, channel)
-    return raw
+        return rho.scaled(*_step_factors(scheme, kern, params.dt, obs))
+    return pol_jump_raw(raw, kern, obs)
 
 
 def step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> FilterState:
@@ -703,8 +687,8 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
     """
     from .trajectory import _ReplayCollector, _simulate_block   # trajectory imports this module
 
-    rho0 = FilterState.initial(scheme, mode, params, rho0).rho
-    check_jump_bound(scheme, params, params.time_grid()[:-1])
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     n = params.n_steps
     observations = np.asarray(observations)
     if observations.shape != (n,):
@@ -713,7 +697,7 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
         raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
     if scheme != "polarimetry" and not np.all(np.isfinite(observations)):
         raise ValueError("diffusive observations dy must be finite")
-    col = _ReplayCollector(n, 1, len(rho0), keep_states)
+    col = _ReplayCollector(n, 1, params.space.dim, keep_states)
     _simulate_block(scheme, params, None, [0], rho0, col, observations[None])
     loglik = col.loglik[0] if mode == "linear" else np.zeros(n + 1)
     return FilterRun(

@@ -139,34 +139,34 @@ def _check_dim(op, params):
     return op
 
 
+def _field(x, params: ModelParams, sign):
+    """sign i B [F_y, x]: the field term, + in the Heisenberg picture and - in the Schrodinger picture."""
+    _, f_y, _ = make_spin_ops(params.space)
+    return sign * 1j * params.B * (f_y @ x - x @ f_y)
+
+
+def _lindblad(x, params: ModelParams, t, sign):
+    """The finite-drive generator in the picture of the field sign; its dissipator is self-dual."""
+    x = _check_dim(x.rho if isinstance(x, DensityState) else x, params)
+    c, s = _cos_sin(params)
+    out = params.drive_power(t) * (s @ x @ s + c @ x @ c - x)
+    if params.B != 0.0:
+        out = out + _field(x, params, sign)
+    return out
+
+
 def lindblad_heisenberg(x, params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Finite-drive generator on observables.
 
     L(X) = |f(t)|^2 (sin(kF_z) X sin(kF_z) + cos(kF_z) X cos(kF_z) - X),
     plus i B [F_y, X] for a nonzero applied field.
     """
-    x = _check_dim(x, params)
-    c, s = _cos_sin(params)
-    fp = params.drive_power(t)
-    out = fp * (s @ x @ s + c @ x @ c - x)
-    if params.B != 0.0:
-        _, f_y, _ = make_spin_ops(params.space)
-        out = out + 1j * params.B * (f_y @ x - x @ f_y)
-    return out
+    return _lindblad(x, params, t, 1)
 
 
 def lindblad_schrodinger(rho, params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Pre-adjoint of :func:`lindblad_heisenberg` on states; traceless output."""
-    if isinstance(rho, DensityState):
-        rho = rho.rho
-    rho = _check_dim(rho, params)
-    c, s = _cos_sin(params)
-    fp = params.drive_power(t)
-    out = fp * (s @ rho @ s + c @ rho @ c - rho)
-    if params.B != 0.0:
-        _, f_y, _ = make_spin_ops(params.space)
-        out = out - 1j * params.B * (f_y @ rho - rho @ f_y)
-    return out
+    return _lindblad(rho, params, t, -1)
 
 
 def limit_lindblad(op, params: ModelParams, picture: str = "heisenberg") -> np.ndarray:
@@ -182,12 +182,9 @@ def limit_lindblad(op, params: ModelParams, picture: str = "heisenberg") -> np.n
     m = params.space.fz_levels()
     f_z = np.diag(m).astype(complex)
     fz2 = np.diag(m**2).astype(complex)
-    big_m = params.M
-    out = big_m * (f_z @ op @ f_z - 0.5 * (fz2 @ op + op @ fz2))
+    out = params.M * (f_z @ op @ f_z - 0.5 * (fz2 @ op + op @ fz2))
     if params.B != 0.0:
-        _, f_y, _ = make_spin_ops(params.space)
-        comm = f_y @ op - op @ f_y
-        out = out + (1j * params.B * comm if picture == "heisenberg" else -1j * params.B * comm)
+        out = out + _field(op, params, 1 if picture == "heisenberg" else -1)
     return out
 
 

@@ -312,8 +312,12 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     array of event codes or dy values, the record is replayed instead and
     base_seed is not used. Each step hands the collector the observations
     and their prediction: the count probabilities (q_xi, q_eta), or the
-    drift times dt of dy.
+    drift times dt of dy. rho0 None starts from the x-polarized coherent
+    state; a counting run whose alpha^2 dt exceeds the one-jump bound raises
+    ValueError.
     """
+    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
+    rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     kern = build_kernels(params)
     n = params.n_steps
     dt = params.dt
@@ -353,6 +357,14 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     return collector
 
 
+def _scaled_counts(n_xi, n_eta, alpha):
+    """y_plus = (n_xi + n_eta) / alpha^2 and y_minus = (n_xi - n_eta) / alpha; unscaled for alpha = 0."""
+    total, diff = n_xi + n_eta, n_xi - n_eta
+    if alpha > 0:
+        return total / alpha**2, diff / alpha
+    return total.astype(float), diff.astype(float)
+
+
 def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollector):
     """Per-trajectory records; their arrays are rows of the collector's, not copies."""
     n = params.n_steps
@@ -377,13 +389,13 @@ def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollec
             ev = col.events[b]
             n_xi = np.concatenate([[0], np.cumsum(ev == 1)]).astype(np.int64)
             n_eta = np.concatenate([[0], np.cumsum(ev == 2)]).astype(np.int64)
-            alpha = params.alpha
+            y_plus, y_minus = _scaled_counts(n_xi, n_eta, params.alpha)
             rec = TrajectoryRecord(
                 events=ev,
                 counts_xi=n_xi,
                 counts_eta=n_eta,
-                y_plus=(n_xi + n_eta) / alpha**2 if alpha > 0 else (n_xi + n_eta).astype(float),
-                y_minus=(n_xi - n_eta) / alpha if alpha > 0 else (n_xi - n_eta).astype(float),
+                y_plus=y_plus,
+                y_minus=y_minus,
                 inn_xi=col.inn_xi[b],
                 inn_eta=col.inn_eta[b],
                 **common,
@@ -402,8 +414,6 @@ def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollec
 
 def _simulate_full(scheme, params, seed, rho0, keep_states, indices):
     """Co-simulate the trajectories in indices as one block and return their records."""
-    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
-    rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     col = _FullCollector(scheme, params.n_steps, len(indices), params.space.dim, keep_states)
     _simulate_block(scheme, params, seed, indices, rho0, col)
     return _records_from_collector(scheme, params, seed, indices, col)
@@ -471,8 +481,6 @@ def run_ensemble(
         raise ValueError("N must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
-    rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     n = params.n_steps
     dim = params.space.dim
     if snapshot_indices is None:
@@ -514,13 +522,9 @@ def run_ensemble(
         parts = dict(y="cum_y", qv="qv", loglik="loglik", inn="cum_inn")
     terminals = {key: np.concatenate([getattr(col, attr) for col in cols]) for key, attr in parts.items()}
     if scheme == "polarimetry":
-        alpha = params.alpha
-        for key in ("counts_xi", "counts_eta"):
-            terminals[key] = terminals[key].astype(np.int64)
-        total = terminals["counts_xi"] + terminals["counts_eta"]
-        diff = terminals["counts_xi"] - terminals["counts_eta"]
-        terminals["y_plus"] = total / alpha**2 if alpha > 0 else total.astype(float)
-        terminals["y_minus"] = diff / alpha if alpha > 0 else diff.astype(float)
+        n_xi, n_eta = (terminals[key].astype(np.int64) for key in ("counts_xi", "counts_eta"))
+        terminals["counts_xi"], terminals["counts_eta"] = n_xi, n_eta
+        terminals["y_plus"], terminals["y_minus"] = _scaled_counts(n_xi, n_eta, params.alpha)
 
     series_mean = {name: sums[:, 0, j] / N for j, name in enumerate(names)}
     series_sem = {}

@@ -5,6 +5,7 @@ from spinprobe.generators import ModelParams
 from spinprobe import trajectory as traj
 from spinprobe.charfuncs import (
     TestFunction,
+    charfunc_analytic,
     charfunc_analytic_path,
     charfunc_homodyne_analytic,
     charfunc_limit_analytic,
@@ -218,3 +219,14 @@ def test_polarimetry_homodyne_equivalence_in_limit():
         d_hom = np.max(np.abs(charfunc_homodyne_analytic(K_GRID, p, probs).values - limit_vals))
         sup.append(max(d_minus, d_hom))
     assert sup[1] < 2e-2 * sup[0]
+
+
+@pytest.mark.parametrize("process", ["minus", "homodyne"])
+def test_path_rejects_wrong_length_probabilities(process):
+    # both analytic forms resolve (levels, probabilities) the same way and name the mismatch
+    p = ModelParams.build(j=1.0, alpha=2.0, kappa=0.3, T=0.1, dt=0.01)
+    kfun = TestFunction.constant(0.7, p.n_steps, p.dt)
+    with pytest.raises(ValueError, match="probability vector length does not match"):
+        charfunc_analytic_path(process, kfun, params=p, p=np.full(2, 0.5))
+    with pytest.raises(ValueError, match="probability vector length does not match"):
+        charfunc_analytic(process, 0.7, params=p, p=np.full(2, 0.5))

@@ -143,16 +143,16 @@ def test_zakai_likelihood_oracle_diagonal_state():
     rho0 = fz_eigenstate(p.space, level)
     events = np.array([0, 1, 0, 0, 2, 0, 1, 1, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 2])
     run = run_filter("polarimetry", "linear", p, events, rho0=rho0)
-    kern = build_kernels(p)
+    lxi2, leta2 = build_kernels(p).level_rows[4:6]
     expected = 0.0
     for ev in events:
         if ev == 1:
-            expected += np.log(0.5 * kern.lxi2[level] * 2)  # pi_a relative to rate alpha^2/2
+            expected += np.log(0.5 * lxi2[level] * 2)  # pi_a relative to rate alpha^2/2
         elif ev == 2:
-            expected += np.log(0.5 * kern.leta2[level] * 2)
+            expected += np.log(0.5 * leta2[level] * 2)
     # the stored loglik tracks trace factors: jump factor is pi_a = L_a^2 entry
-    expected = sum(np.log(kern.lxi2[level]) for ev in events if ev == 1)
-    expected += sum(np.log(kern.leta2[level]) for ev in events if ev == 2)
+    expected = sum(np.log(lxi2[level]) for ev in events if ev == 1)
+    expected += sum(np.log(leta2[level]) for ev in events if ev == 2)
     assert run.loglik[-1] == pytest.approx(expected, abs=1e-10)
 
 
@@ -212,7 +212,7 @@ def test_homodyne_small_kappa_moment_update():
     rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
     for kappa in (1e-2, 1e-3):
         p = params_for(j=0.5, alpha=2.0, kappa=kappa, dt=1e-6)
-        fz = build_kernels(p).F_z
+        fz = make_spin_ops(p.space)[2]
         mean0 = np.trace(rho @ fz).real
         var0 = np.trace(rho @ fz @ fz).real - mean0**2
         for g in (1.0, -0.6):
@@ -237,7 +237,7 @@ def test_limit_estimator_driven_by_innovation_only():
     p = params_for(j=1.0, alpha=2.0, kappa=0.5, dt=1e-8)
     rng = np.random.default_rng(7)
     rho = random_density(p.space, rng).rho
-    fz = build_kernels(p).F_z
+    fz = make_spin_ops(p.space)[2]
     mean0 = np.trace(rho @ fz).real
     var0 = np.trace(rho @ fz @ fz).real - mean0**2
     g = 0.7
@@ -322,16 +322,78 @@ def test_filter_steps_positive_without_projection(scheme, j, B, monkeypatch):
         assert np.min(np.linalg.eigvalsh(run.states)) >= -1e-12
 
 
+@pytest.mark.parametrize("j", [0.5, 2.0, 5.0])
+@pytest.mark.parametrize("B", [0.0, 0.5])
+def test_homodyne_raw_matches_direct_factorization(j, B):
+    # oracle: the unsplit Schur factor C = exp(a^2 dt (c c^T - 1)) and g = exp(-a^2 dt s^2 / 2 + a dy s),
+    # built here from cos/sin; homodyne_raw takes C_hat o (q g sigma g q), Strang-split for B != 0
+    rng = np.random.default_rng(16)
+    p = params_for(j=j, alpha=3.0, kappa=0.3, B=B, dt=1e-3)
+    kern = build_kernels(p)
+    m = p.space.fz_levels()
+    c, s, a = np.cos(p.kappa * m), np.sin(p.kappa * m), p.alpha
+    C = np.exp(a * a * p.dt * (np.outer(c, c) - 1.0))
+    sigma = np.stack([random_density(p.space, rng).rho for _ in range(3)])
+    dy = np.sqrt(p.dt) * rng.standard_normal(3)
+    for k in range(3):
+        g = np.exp(-0.5 * a * a * p.dt * s**2 + a * dy[k] * s)
+        inner = sigma[k] if B == 0.0 else kern.U_half @ sigma[k] @ kern.U_half.conj().T
+        want = C * (g[:, None] * inner * g[None, :])
+        if B != 0.0:
+            want = kern.U_half @ want @ kern.U_half.conj().T
+        assert np.max(np.abs(homodyne_raw(sigma[k], kern, p.dt, dy[k], a) - want)) < 1e-13
+        assert np.max(np.abs(homodyne_raw(sigma, kern, p.dt, dy, a)[k] - want)) < 1e-13
+
+
+def test_pol_jump_raw_codes_match_channel_masks():
+    # per-state event codes apply the channel masks L_a o L_a^T, and code 0 leaves a state unchanged, bit for bit
+    rng = np.random.default_rng(17)
+    p = params_for(j=1.5, alpha=2.0, kappa=0.7, B=0.5)
+    kern = build_kernels(p)
+    m = p.space.fz_levels()
+    lxi, leta = np.cos(p.kappa * m) + np.sin(p.kappa * m), np.cos(p.kappa * m) - np.sin(p.kappa * m)
+    sigma = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    out = pol_jump_raw(sigma, kern, np.array([0, 1, 2], dtype=np.int8))
+    assert np.array_equal(out[0], sigma[0])
+    assert np.array_equal(out[1], np.outer(lxi, lxi) * sigma[1])
+    assert np.array_equal(out[2], np.outer(leta, leta) * sigma[2])
+    assert np.array_equal(out[1], pol_jump_raw(sigma[1], kern, "xi"))
+    assert np.array_equal(out[2], pol_jump_raw(sigma[2], kern, "eta"))
+
+
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne"])
+@pytest.mark.parametrize("j", [0.5, 2.0])
+def test_alpha_schedule_level_path_matches_matrix_step(scheme, j):
+    # a drive switch at t = 0.1: the B = 0 replay (level weights, one LevelSchur per drive)
+    # follows the matrix step across it
+    p = params_for(j=j, alpha=2.0, kappa=0.3, dt=1e-3, T=0.2, alpha_schedule=((0.0, 2.0), (0.1, 4.0)))
+    assert set(build_kernels(p).C_levels) == {2.0, 4.0}
+    sim = traj.simulate_polarimetry if scheme == "polarimetry" else traj.simulate_homodyne
+    rec = sim(p, seed=19)
+    obs = rec.events if scheme == "polarimetry" else rec.dy
+    run = run_filter(scheme, "linear", p, obs, keep_states=True)
+    st = FilterState.initial(scheme, "linear", p)
+    for k, ob in enumerate(obs):
+        if scheme == "polarimetry":
+            inc = ObservationIncrement(p.dt, event=(None, "xi", "eta")[ob])
+        else:
+            inc = ObservationIncrement.diffusive(ob, p.dt)
+        st = step(st, inc, p)
+        assert np.max(np.abs(st.rho - run.states[k + 1])) < 1e-12, (k, st.t)
+        assert st.loglik == pytest.approx(run.loglik[k + 1], abs=1e-12)
+    assert st.t == pytest.approx(p.T)
+
+
 def test_kernels_built_once_and_read_only():
     p = params_for(j=2.0, alpha=3.0, kappa=0.2, B=0.5)
     assert p.space is p.space
     kern = build_kernels(p)
     assert build_kernels(params_for(j=2.0, alpha=3.0, kappa=0.2, B=0.5)) is kern
-    for arr in (kern.K_xi, kern.levels, kern.U_half, kern.C[p.alpha]):
+    for arr in (kern.count_rows, kern.levels, kern.U_half, kern.C_levels[p.alpha].C_hat):
         with pytest.raises(ValueError):
             arr[0, ...] = 0.0
     with pytest.raises(TypeError):
-        kern.C[p.alpha + 1.0] = kern.C[p.alpha]
+        kern.C_levels[p.alpha + 1.0] = kern.C_levels[p.alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +481,8 @@ def test_mode_and_observation_validation():
         ObservationIncrement.count("zeta", p.dt)
     with pytest.raises(ValueError):
         ObservationIncrement.diffusive(np.inf, p.dt)
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_filter("homodyne", "smoothed", p, np.zeros(p.n_steps))
 
 
 @pytest.mark.parametrize("scheme", ["homodyne", "limit"])
