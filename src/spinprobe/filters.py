@@ -97,7 +97,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .spin_algebra import DensityState, make_spin_ops, coherent_x_state, EPS_POS
-from .generators import ModelParams
+from .generators import GRID_TOL, ModelParams
 
 SCHEMES = ("polarimetry", "homodyne", "limit")
 MODES = ("normalized", "linear")
@@ -586,11 +586,18 @@ def check_jump_bound(scheme, params: ModelParams, times):
     """Reject counting steps starting at times whose alpha(t)^2 dt exceeds JUMP_BOUND.
 
     Whole runs pass their step grid, params.time_grid()[:-1]. The diffusive
-    schemes have no jump-step bound and always pass.
+    schemes have no jump-step bound and always pass. A schedule entry counts
+    if it is in force at one of the times by the rule of ModelParams.alpha_of:
+    the last entry starting at or before t + GRID_TOL.
     """
     if scheme != "polarimetry":
         return
-    a2dt = max(params.drive_power(t) for t in times) * params.dt
+    a = params.alpha
+    if params.alpha_schedule is not None:
+        starts, amps = np.array(params.alpha_schedule).T
+        k = np.searchsorted(starts, np.asarray(times, dtype=float) + GRID_TOL, side="right")
+        a = float(amps[np.maximum(k - 1, 0)].max())
+    a2dt = a**2 * params.dt
     if a2dt > JUMP_BOUND:
         raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
 

@@ -8,9 +8,9 @@ All returned arrays are fresh; treat them as immutable values.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
-from scipy.linalg import expm
 
 # Eigenvalue floor tolerated on density matrices before validation fails.
 # The master-equation integrator clips its drift within the floor and
@@ -103,27 +103,30 @@ def l_xi_eta(kappa, space: SpinSpace = None):
 
 
 def coherent_x_state(space: SpinSpace) -> "DensityState":
-    """Pure x-polarized spin state |J, m_x = J><J, m_x = J|.
+    """Pure x-polarized spin state |J, m_x = J><J, m_x = J|, in closed form.
 
-    Built by rotating the top F_z level with exp(-i (pi/2) F_y); satisfies
-    trace(rho F_x) = J.
+    Rotating the top F_z level by exp(-i (pi/2) F_y) gives the binomial ket
+    psi_k = sqrt(p_k) on the level m = J - k, with populations
+    p_k = C(2J, k) / 4^J (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211
+    (1972)), so rho_jk = sqrt(p_j p_k). Satisfies trace(rho F_x) = J.
     """
-    psi = _x_polarized_ket(space)
-    rho = np.outer(psi, psi.conj())
-    return DensityState(rho)
+    return DensityState(_x_polarized_rho(space).copy())
 
 
 @lru_cache(maxsize=16)
-def _x_polarized_ket(space: SpinSpace) -> np.ndarray:
-    """exp(-i (pi/2) F_y) applied to the top F_z level, once per space (read-only).
+def _x_polarized_rho(space: SpinSpace) -> np.ndarray:
+    """sqrt(outer(p, p)) of the binomial populations p, once per space (read-only).
 
-    Cached because expm goes through threaded LAPACK, whose worker thread
-    then spins for tens of milliseconds next to the caller's own work.
+    Each p_k = C(2J, k) / 2^(2J) is one true division of Python integers,
+    hence correctly rounded and finite at any J. The diagonal is set to p
+    itself, which sqrt(p_k^2) already returns unless p_k^2 underflows.
     """
-    _, f_y, _ = make_spin_ops(space)
-    psi = expm(-1j * (np.pi / 2) * f_y)[:, 0].copy()
-    psi.setflags(write=False)
-    return psi
+    n = space.twice_j
+    p = np.array([comb(n, k) / 2**n for k in range(n + 1)])
+    rho = np.sqrt(np.outer(p, p))
+    np.fill_diagonal(rho, p)
+    rho.setflags(write=False)
+    return rho
 
 
 def random_density(space: SpinSpace, rng) -> "DensityState":

@@ -308,13 +308,13 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     """Advance a batch of trajectories along the time grid.
 
     Without observations, each step's observation is sampled from the
-    predictive law with one noise draw per trajectory. Given a (batch, n)
-    array of event codes or dy values, the record is replayed instead and
-    base_seed is not used. Each step hands the collector the observations
-    and their prediction: the count probabilities (q_xi, q_eta), or the
-    drift times dt of dy. rho0 None starts from the x-polarized coherent
-    state; a counting run whose alpha^2 dt exceeds the one-jump bound raises
-    ValueError.
+    predictive law with one noise draw per trajectory, and each step hands
+    the collector the observations and their prediction: the count
+    probabilities (q_xi, q_eta), or the drift times dt of dy. Given a
+    (batch, n) array of event codes or dy values, the record is replayed
+    instead, base_seed is not used and the prediction handed on is None.
+    rho0 None starts from the x-polarized coherent state; a counting run
+    whose alpha^2 dt exceeds the one-jump bound raises ValueError.
     """
     filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
     rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
@@ -336,20 +336,19 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     sqdt = np.sqrt(dt)
     for i in range(n):
         t = i * dt
-        if scheme == "polarimetry":
+        if noise is None:   # a replay reads the record and needs no prediction
+            obs, pred = observations[:, i], None
+        elif scheme == "polarimetry":
             half_a2dt = 0.5 * params.drive_power(t) * dt
             pred = q_xi, q_eta = half_a2dt * means[3], half_a2dt * means[4]   # predicted count probabilities
-            if noise is None:
-                obs = observations[:, i]
-            else:   # xi if u < q_xi, else eta if u < q_xi + q_eta
-                u = noise(i)
-                obs = 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
+            u = noise(i)   # xi if u < q_xi, else eta if u < q_xi + q_eta
+            obs = 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
         else:
             if scheme == "homodyne":
                 pred = 2.0 * params.alpha_of(t) * dt * means[2]
             else:
                 pred = 2.0 * kern.sqrt_M * dt * means[0]
-            obs = observations[:, i] if noise is None else pred + sqdt * noise(i)
+            obs = pred + sqdt * noise(i)
         rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
         loglik = loglik + np.log(tr)
         moments, means = _moments(rho, kern)

@@ -3,10 +3,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinprobe
 from spinprobe import charfuncs as cf
 from spinprobe import trajectory as traj
 from spinprobe.cli import ConfigError, main, parse_config
@@ -274,6 +278,23 @@ def test_run_ensemble_rejects_threads_below_one():
     for threads in (0, -2):
         with pytest.raises(ValueError):
             trajectory.run_ensemble(p, "limit", 4, base_seed=1, threads=threads)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # one fresh interpreter: a 10-step simulate must not import scipy at all
+    code = (
+        "import json, sys\n"
+        "from spinprobe.cli import main\n"
+        "rc = main(['simulate', '--J', '1', '--alpha', '3', '--kappa', '0.2', '--T', '0.01', '--dt', '1e-3',"
+        " '--outdir', sys.argv[1]])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = str(Path(spinprobe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+    assert (tmp_path / "trajectory.csv").is_file()
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):

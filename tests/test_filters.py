@@ -5,9 +5,11 @@ from spinprobe.spin_algebra import SpinSpace, coherent_x_state, make_spin_ops, r
 from spinprobe.generators import ModelParams, lindblad_schrodinger
 from spinprobe import trajectory as traj
 from spinprobe.filters import (
+    JUMP_BOUND,
     FilterState,
     ObservationIncrement,
     build_kernels,
+    check_jump_bound,
     finish_step,
     homodyne_raw,
     increment,
@@ -161,6 +163,46 @@ def test_zakai_no_coupling_trace_constant():
     rec = traj.simulate_polarimetry(p, seed=5)
     run = run_filter("polarimetry", "linear", p, rec.events)
     assert np.max(np.abs(run.loglik)) < 1e-10
+
+
+def _jump_bound_verdict(check, params, times):
+    try:
+        check("polarimetry", params, times)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _jump_bound_by_loop(scheme, params, times):
+    """The bound as a loop over the times, each read through ModelParams.drive_power."""
+    a2dt = max(params.drive_power(t) for t in times) * params.dt
+    if a2dt > JUMP_BOUND:
+        raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
+
+
+def test_jump_bound_matches_the_loop_over_the_grid():
+    # a strong entry (alpha^2 dt = 0.4) counts only if it is in force at some
+    # step start, by alpha_of's t0 <= t + GRID_TOL rule
+    dt, T, tol = 1e-3, 0.2, 1e-9
+    last = (round(T / dt) - 1) * dt
+    starts = [last, T, last + tol, last - 0.5 * tol, last + 0.5 * tol, last + 2 * tol, T - 0.5 * tol, T + 0.5 * tol, 0.05]
+    rng = np.random.default_rng(23)
+    schedules = [((0.0, 3.0), (t0, 20.0)) for t0 in starts]
+    schedules += [((0.0, 20.0), (t0, 3.0)) for t0 in starts]
+    for _ in range(300):
+        # random starts, some packed inside one step and some past T; amplitudes around sqrt(0.1 / dt) = 10
+        t0s = np.sort(rng.choice(np.r_[rng.uniform(0.0, T + 0.01, 4), rng.uniform(0.0, 3 * dt, 2)],
+                                 rng.integers(0, 6), replace=False))
+        schedules.append(((0.0, rng.uniform(0.0, 11.0)),) + tuple((t0, rng.uniform(0.0, 15.0)) for t0 in t0s if t0 > 0))
+    schedules.append(None)
+    verdicts = set()
+    for sched in schedules:
+        p = params_for(alpha=3.0, kappa=0.1, dt=dt, T=T, alpha_schedule=sched)
+        for times in (p.time_grid()[:-1], [last], [0.0], rng.uniform(0.0, T, 3)):
+            want = _jump_bound_verdict(_jump_bound_by_loop, p, times)
+            assert _jump_bound_verdict(check_jump_bound, p, times) == want, (sched, times)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

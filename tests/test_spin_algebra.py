@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ def test_coherent_x_moments():
     assert np.trace(rho @ fz @ fz).real == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [0.5, 1, 2, 5, 25, 50])
+def test_coherent_x_state_matches_expm_oracle(j):
+    # the binomial closed form against exp(-i (pi/2) F_y) applied to the top F_z level
+    from scipy.linalg import expm
+
+    space = SpinSpace.from_j(j)
+    n = space.twice_j
+    psi = expm(-1j * (np.pi / 2) * make_spin_ops(space)[1])[:, 0]
+    rho = coherent_x_state(space).rho
+    assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-15
+    assert np.array_equal(np.diagonal(rho).real, [comb(n, k) / 2**n for k in range(n + 1)])
+    assert not np.diagonal(rho).imag.any()
+    assert np.trace(rho) == 1.0
+
+
 def test_coherent_x_rotation_fixed_point():
     rng = np.random.default_rng(3)
     for j in (0.5, 1.5):
@@ -141,7 +157,7 @@ def test_coherent_x_rotation_fixed_point():
 
 
 def test_coherent_x_state_is_a_fresh_value():
-    # the rotated ket is computed once per space; each state still owns its array
+    # the matrix is built once per space; each state still owns its array
     space = SpinSpace.from_j(2)
     a = coherent_x_state(space).rho
     first = a.copy()
