@@ -38,10 +38,6 @@ class TestFunction:
     def constant(cls, k, n_steps, dt):
         return cls(np.full(n_steps, float(k)), dt)
 
-    @property
-    def horizon(self) -> float:
-        return self.values.size * self.dt
-
 
 @dataclass
 class CharFunc:

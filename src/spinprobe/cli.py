@@ -412,7 +412,6 @@ def cmd_converge(cfg: RunConfig, outdir, threads):
         m_value = params.M
     else:
         m_value = cfg.M
-    space = SpinSpace.from_j(cfg.J)
     rho0 = cfg.initial_rho(ModelParams.build(j=cfg.J, alpha=1.0, kappa=0.0, T=cfg.T, dt=cfg.T))
     p = np.diagonal(rho0).real
     study = cf.convergence_study(m_value, cfg.alpha_list, cfg.k_grid(), cfg.T, p, j=cfg.J)
@@ -492,13 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    keys = (
-        "J", "alpha", "kappa", "M", "phi", "B", "T", "dt", "scheme", "mode", "N",
-        "base_seed", "k_min", "k_max", "k_points", "alpha_list", "initial_state",
-        "snapshots", "record_full_state", "generator", "process", "outdir",
-    )
     out = {}
-    for key in keys:
+    for key in (f.name for f in fields(RunConfig)):   # flag dests are the field names
         value = getattr(args, key, None)
         if value is None:
             continue

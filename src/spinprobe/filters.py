@@ -281,11 +281,6 @@ def _rotate(sigma, u):
     return u @ sigma @ _dagger(u)
 
 
-def _check_dt(kern: FilterKernels, dt):
-    if dt != kern.dt:
-        raise ValueError(f"step dt {dt} does not match the kernels' dt {kern.dt}")
-
-
 def _congruence(sigma, f, schur: LevelSchur = None, u_half=None):
     """sigma_ij <- C_ij f_i sigma_ij f_j with C = schur.C_hat or 1, Strang-split around u_half if given.
 
@@ -314,8 +309,8 @@ def _level_factors(a, b, dy):
     return np.exp(np.multiply.outer(a, dy) - b.reshape(b.shape + (1,) * dy.ndim))
 
 
-def _step_factors(scheme, kern: FilterKernels, dt, obs, a_t=None):
-    """The scheme's step over dt as (level-major factors f, LevelSchur or None); see the module notes.
+def _step_factors(scheme, kern: FilterKernels, obs, a_t=None):
+    """The scheme's step over kern.dt as (level-major factors f, LevelSchur or None); see the module notes.
 
     obs is dy (diffusive) or an event code (counting), a scalar or one value
     per state. Both state representations apply exactly these factors.
@@ -324,18 +319,17 @@ def _step_factors(scheme, kern: FilterKernels, dt, obs, a_t=None):
         sc = kern.C_levels[a_t]
         return _level_factors(sc.a_s, sc.b, obs), sc
     if scheme == "limit":
-        return _level_factors(kern.sqrt_M * kern.levels, kern.M * dt * kern.level_rows[2], obs), None
+        return _level_factors(kern.sqrt_M * kern.levels, kern.M * kern.dt * kern.level_rows[2], obs), None
     return kern.count_rows[obs].T, None
 
 
-def pol_drift_raw(sigma, kern: FilterKernels, dt):
-    """No-count evolution of the counting Zakai equation over dt (linear in sigma).
+def pol_drift_raw(sigma, kern: FilterKernels):
+    """No-count evolution of the counting Zakai equation over kern.dt (linear in sigma).
 
     Its dissipative terms cancel for every drive power, because
     L_xi^2 + L_eta^2 = 2, so the step is exactly the field rotation
     U sigma U^dagger: a fresh copy of sigma for B = 0.
     """
-    _check_dt(kern, dt)
     if kern.U is None:
         return np.array(sigma, dtype=complex)
     return _rotate(sigma, kern.U)
@@ -348,27 +342,25 @@ def pol_jump_raw(sigma, kern: FilterKernels, channel):
     a state with code 0 is multiplied by 1, which leaves it unchanged.
     """
     code = {"xi": 1, "eta": 2}[channel] if isinstance(channel, str) else channel
-    return _congruence(sigma, _step_factors("polarimetry", kern, kern.dt, code)[0])
+    return _congruence(sigma, _step_factors("polarimetry", kern, code)[0])
 
 
-def homodyne_raw(sigma, kern: FilterKernels, dt, dy, a_t):
-    """Exact homodyne Zakai step over dt (linear in sigma); dy is a scalar or one value per state.
+def homodyne_raw(sigma, kern: FilterKernels, dy, a_t):
+    """Exact homodyne Zakai step over kern.dt (linear in sigma); dy is a scalar or one value per state.
 
     For B = 0 each entry solves a scalar linear SDE, so
     sigma <- C_hat o (q g sigma g q) with the factors of C_levels[a_t].
     """
-    _check_dt(kern, dt)
-    return _congruence(sigma, *_step_factors("homodyne", kern, dt, dy, a_t), kern.U_half)
+    return _congruence(sigma, *_step_factors("homodyne", kern, dy, a_t), kern.U_half)
 
 
-def limit_raw(sigma, kern: FilterKernels, dt, dy):
-    """Exact limit Zakai step over dt (linear in sigma); dy is a scalar or one value per state.
+def limit_raw(sigma, kern: FilterKernels, dy):
+    """Exact limit Zakai step over kern.dt (linear in sigma); dy is a scalar or one value per state.
 
     For B = 0 it is the diagonal congruence sigma <- h sigma h with
     h = exp(-M dt F_z^2 + sqrt(M) dy F_z).
     """
-    _check_dt(kern, dt)
-    return _congruence(sigma, *_step_factors("limit", kern, dt, dy), kern.U_half)
+    return _congruence(sigma, *_step_factors("limit", kern, dy), kern.U_half)
 
 
 def min_eig_hermitian(rho):
@@ -627,17 +619,17 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     if scheme != "polarimetry":
         a = params.alpha_of(t) if scheme == "homodyne" else None
         if levels:
-            return rho.scaled(*_step_factors(scheme, kern, params.dt, obs, a))
+            return rho.scaled(*_step_factors(scheme, kern, obs, a))
         if scheme == "homodyne":
-            return homodyne_raw(rho, kern, params.dt, obs, a)
-        return limit_raw(rho, kern, params.dt, obs)
-    raw = rho if levels else pol_drift_raw(rho, kern, params.dt)   # the drift is the identity for B = 0
+            return homodyne_raw(rho, kern, obs, a)
+        return limit_raw(rho, kern, obs)
+    raw = rho if levels else pol_drift_raw(rho, kern)   # the drift is the identity for B = 0
     obs = np.asarray(obs)
     if not np.count_nonzero(obs):   # most steps record no count
         return raw
     _check_counts(raw.diagonal() if levels else np.einsum("...ii->...i", raw).real, obs, kern)
     if levels:
-        return rho.scaled(*_step_factors(scheme, kern, params.dt, obs))
+        return rho.scaled(*_step_factors(scheme, kern, obs))
     return pol_jump_raw(raw, kern, obs)
 
 

@@ -12,15 +12,17 @@ is applied with operator coefficients multiplying in order. The Fock space
 itself is never represented; expressions are records of QSDE coefficients
 that can be combined, adjointed and checked for unitarity numerically.
 
-Increments are stored in the linear xy polarization basis; the circular and
-45-degree (xi/eta) bases are derived views via :func:`basis_change`.
+An expression lives in one of three channel bases: linear xy, circular (+/-)
+or the polarimeter's 45-degree xi/eta channels. :func:`basis_change` maps any
+of them onto any other in one step. The evolution generators are returned in
+xy; each is written in the basis where it is simplest and mapped there.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Basis vectors of the derived channel bases, as components in the xy basis.
+# Basis vectors of each channel basis, as components in the xy basis.
 # Rows are orthonormal, so each matrix is unitary.
 _BASIS_VECTORS = {
     "xy": {"x": (1.0, 0.0), "y": (0.0, 1.0)},
@@ -200,9 +202,10 @@ def ito_product(x: QNoiseExpr, y: QNoiseExpr) -> QNoiseExpr:
 def basis_change(expr: QNoiseExpr, target: str) -> QNoiseExpr:
     """Rewrite an expression on the increments of another polarization basis.
 
-    The annihilators transform linearly with the components of the new basis
-    vectors, creators with their conjugates, and the gauge increments with
-    dL^uv = sum_jk conj(u_j) v_k dL^jk, so e.g.
+    With U the unitary whose row a holds the xy components of basis vector a,
+    the map W = U_src U_tgt^dagger sends each source increment straight onto
+    the target ones: dA^a = sum_b W[a,b] dA^b, dA*^a = sum_b conj(W[a,b])
+    dA*^b and dL^ae = sum_bd conj(W[a,b]) W[e,d] dL^bd, so e.g.
     dL[+,+] = (dL[x,x] + dL[y,y] + i dL[x,y] - i dL[y,x]) / 2.
     """
     if target not in _BASIS_VECTORS:
@@ -210,13 +213,32 @@ def basis_change(expr: QNoiseExpr, target: str) -> QNoiseExpr:
     if target == expr.basis:
         return QNoiseExpr(expr.dim, expr.basis, dict(expr.coeffs))
 
-    # Go through the xy basis; each leg uses the unitary row matrix U with
-    # U[a, j] = component j of target vector a.
-    if expr.basis != "xy":
-        expr = _to_xy(expr)
-    if target == "xy":
-        return expr
-    return _from_xy(expr, target)
+    src, u_src = _umatrix(expr.basis)
+    tgt, u_tgt = _umatrix(target)
+    w = u_src @ u_tgt.conj().T
+    out = {}
+
+    def add(key, c):
+        out[key] = out[key] + c if key in out else c
+
+    for key, c in expr.coeffs.items():
+        kind = key[0]
+        if kind == "dt":
+            add(DT, c)
+        elif kind == "dA":
+            a = src.index(key[1])
+            for b, ch in enumerate(tgt):
+                add(dA(ch), w[a, b] * c)
+        elif kind == "dA*":
+            a = src.index(key[1])
+            for b, ch in enumerate(tgt):
+                add(dAstar(ch), np.conj(w[a, b]) * c)
+        else:
+            a, e = src.index(key[1]), src.index(key[2])
+            for b, ch_b in enumerate(tgt):
+                for d, ch_d in enumerate(tgt):
+                    add(dL(ch_b, ch_d), np.conj(w[a, b]) * w[e, d] * c)
+    return QNoiseExpr(expr.dim, target, out).prune()
 
 
 def _umatrix(basis: str):
@@ -224,73 +246,6 @@ def _umatrix(basis: str):
     chans = list(vecs)
     u = np.array([vecs[c] for c in chans], dtype=complex)
     return chans, u
-
-
-def _from_xy(expr: QNoiseExpr, target: str) -> QNoiseExpr:
-    chans, u = _umatrix(target)
-    xy = ["x", "y"]
-    out = {}
-
-    def add(key, c):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c.copy() if isinstance(c, np.ndarray) else c
-
-    for key, c in expr.coeffs.items():
-        kind = key[0]
-        if kind == "dt":
-            add(DT, c)
-        elif kind == "dA":
-            # dA^j = sum_a conj(U[a,j]) dA^ua
-            j = xy.index(key[1])
-            for a, ch in enumerate(chans):
-                add(dA(ch), np.conj(u[a, j]) * c)
-        elif kind == "dA*":
-            # dA*^j = sum_a U[a,j] dA*^ua
-            j = xy.index(key[1])
-            for a, ch in enumerate(chans):
-                add(dAstar(ch), u[a, j] * c)
-        else:
-            # dL^jk = sum_ab U[a,j] conj(U[b,k]) dL^{ua ub}
-            j, k = xy.index(key[1]), xy.index(key[2])
-            for a, ch_a in enumerate(chans):
-                for b, ch_b in enumerate(chans):
-                    add(dL(ch_a, ch_b), u[a, j] * np.conj(u[b, k]) * c)
-    return QNoiseExpr(expr.dim, target, out).prune()
-
-
-def _to_xy(expr: QNoiseExpr) -> QNoiseExpr:
-    chans, u = _umatrix(expr.basis)
-    xy = ["x", "y"]
-    out = {}
-
-    def add(key, c):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c.copy() if isinstance(c, np.ndarray) else c
-
-    for key, c in expr.coeffs.items():
-        kind = key[0]
-        if kind == "dt":
-            add(DT, c)
-        elif kind == "dA":
-            # dA^ua = sum_j U[a,j] dA^j
-            a = chans.index(key[1])
-            for j, ch in enumerate(xy):
-                add(dA(ch), u[a, j] * c)
-        elif kind == "dA*":
-            a = chans.index(key[1])
-            for j, ch in enumerate(xy):
-                add(dAstar(ch), np.conj(u[a, j]) * c)
-        else:
-            # dL^{ua ub} = sum_jk conj(U[a,j]) U[b,k] dL^jk
-            a, b = chans.index(key[1]), chans.index(key[2])
-            for j, ch_j in enumerate(xy):
-                for k, ch_k in enumerate(xy):
-                    add(dL(ch_j, ch_k), np.conj(u[a, j]) * u[b, k] * c)
-    return QNoiseExpr(expr.dim, "xy", out).prune()
 
 
 QSDE_NAMES = ("U0", "U", "Uprime", "Weyl", "Vprime", "V", "Ubar")
@@ -373,29 +328,19 @@ def qsde_coefficients(name: str, params, t: float = 0.0) -> QNoiseExpr:
         ).prune()
 
     if name == "Vprime":
-        # Driven by the observed counting processes Z^xi, Z^eta; matches
-        # Uprime on the dA*, dt coefficients, which is all the vacuum sees.
+        # Driven by the observed counting processes Z^xi, Z^eta: each
+        # polarimeter channel a counts through its gauge term L_a - 1 and
+        # carries the displaced drive f/sqrt(2). Matches Uprime on the dA*,
+        # dt coefficients, which is all the vacuum sees.
+        g = f / np.sqrt(2.0)
         l_xi = c + s - eye
         l_eta = c - s - eye
-        out = QNoiseExpr.zero(dim, "xy")
-        for lcoef, sign in ((l_xi, 1.0), (l_eta, -1.0)):
-            gauge = QNoiseExpr(
-                dim,
-                "xy",
-                {
-                    dL("x", "x"): 0.5 * lcoef,
-                    dL("y", "y"): 0.5 * lcoef,
-                    dL("x", "y"): 0.5 * sign * lcoef,
-                    dL("y", "x"): 0.5 * sign * lcoef,
-                    dA("x"): 0.5 * np.conj(f) * lcoef,
-                    dA("y"): 0.5 * sign * np.conj(f) * lcoef,
-                    dAstar("x"): 0.5 * f * lcoef,
-                    dAstar("y"): 0.5 * sign * f * lcoef,
-                    DT: 0.5 * fp * lcoef,
-                },
-            )
-            out = out + gauge
-        return out.prune()
+        out = {DT: 0.5 * fp * l_xi + 0.5 * fp * l_eta}
+        for ch, lcoef in (("xi", l_xi), ("eta", l_eta)):
+            out[dL(ch, ch)] = lcoef
+            out[dA(ch)] = np.conj(g) * lcoef
+            out[dAstar(ch)] = g * lcoef
+        return basis_change(QNoiseExpr(dim, "xieta", out), "xy")
 
     if name == "V":
         # Homodyne-record propagator; shares the dA*[x], dA*[y], dt

@@ -86,16 +86,13 @@ def op_function(g, a: np.ndarray) -> np.ndarray:
     return np.diag(g(np.diag(a).real)).astype(complex)
 
 
-def l_xi_eta(kappa, space: SpinSpace = None):
+def l_xi_eta(kappa, space: SpinSpace):
     """Jump operators of the two polarimeter channels.
 
     L_xi = cos(kappa F_z) + sin(kappa F_z) and
     L_eta = cos(kappa F_z) - sin(kappa F_z); both diagonal and self-adjoint,
-    with L_xi^2 + L_eta^2 = 2I. Accepts either (kappa, space) or a model
-    parameter object carrying .kappa and .space.
+    with L_xi^2 + L_eta^2 = 2I.
     """
-    if space is None:
-        kappa, space = kappa.kappa, kappa.space
     m = space.fz_levels()
     c = np.cos(kappa * m)
     s = np.sin(kappa * m)

@@ -96,13 +96,6 @@ class TrajectoryRecord:
     inn: np.ndarray = None
     states: np.ndarray = None
 
-    @property
-    def terminal_y(self) -> float:
-        """Terminal value of the scheme's headline output process."""
-        if self.scheme == "polarimetry":
-            return float(self.y_minus[-1])
-        return float(self.y[-1])
-
 
 @dataclass
 class EnsembleSummary:
@@ -119,13 +112,6 @@ class EnsembleSummary:
     series_mean: dict             # name -> (n+1,) ensemble mean
     series_sem: dict              # name -> (n+1,) MC standard error of the mean
     terminals: dict               # name -> (N,) per-trajectory terminal values
-
-    def terminal_stats(self) -> dict:
-        """Mean and variance of every terminal observable."""
-        return {
-            name: (float(np.mean(v)), float(np.var(v, ddof=1)) if len(v) > 1 else 0.0)
-            for name, v in self.terminals.items()
-        }
 
 
 class _ReplayCollector:

@@ -105,7 +105,7 @@ def test_counting_drift_is_identity_without_field():
     p = params_for(j=1.5, alpha=2.0, kappa=0.9)
     kern = build_kernels(p)
     rho = random_density(p.space, rng).rho
-    out = pol_drift_raw(rho, kern, p.dt)
+    out = pol_drift_raw(rho, kern)
     assert np.max(np.abs(out - rho)) < 1e-16
 
 
@@ -126,10 +126,10 @@ def test_zakai_raw_linearity():
         return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
     for step in (
-        lambda m: pol_drift_raw(m, kern, p.dt),
-        lambda m: pol_jump_raw(pol_drift_raw(m, kern, p.dt), kern, "xi"),
-        lambda m: homodyne_raw(m, kern, p.dt, 0.037, p.alpha),
-        lambda m: limit_raw(m, kern, p.dt, -0.021),
+        lambda m: pol_drift_raw(m, kern),
+        lambda m: pol_jump_raw(pol_drift_raw(m, kern), kern, "xi"),
+        lambda m: homodyne_raw(m, kern, 0.037, p.alpha),
+        lambda m: limit_raw(m, kern, -0.021),
     ):
         s1, s2 = rand_mat(), rand_mat()
         assert np.max(np.abs(step(a * s1 + b * s2) - a * step(s1) - b * step(s2))) < 1e-12
@@ -383,8 +383,8 @@ def test_homodyne_raw_matches_direct_factorization(j, B):
         want = C * (g[:, None] * inner * g[None, :])
         if B != 0.0:
             want = kern.U_half @ want @ kern.U_half.conj().T
-        assert np.max(np.abs(homodyne_raw(sigma[k], kern, p.dt, dy[k], a) - want)) < 1e-13
-        assert np.max(np.abs(homodyne_raw(sigma, kern, p.dt, dy, a)[k] - want)) < 1e-13
+        assert np.max(np.abs(homodyne_raw(sigma[k], kern, dy[k], a) - want)) < 1e-13
+        assert np.max(np.abs(homodyne_raw(sigma, kern, dy, a)[k] - want)) < 1e-13
 
 
 def test_pol_jump_raw_codes_match_channel_masks():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinprobe.generators import ModelParams
+from spinprobe.spin_algebra import l_xi_eta
 from spinprobe.ito_calculus import (
     DT,
     QNoiseExpr,
@@ -15,6 +16,9 @@ from spinprobe.ito_calculus import (
     qsde_product,
     unitarity_defect,
 )
+
+
+BASES = ("xy", "circular", "xieta")
 
 
 def unit_expr(key, dim=2, basis="xy"):
@@ -92,6 +96,17 @@ def test_gauge_circular_formula():
     assert np.allclose(plus.coeff(dL("y", "x")), -0.5j * np.eye(2))
 
 
+def test_field_circular_formula():
+    # dA[+] = -(dA[x] + i dA[y]) / sqrt(2); the creator takes the conjugate weights
+    r = 1.0 / np.sqrt(2.0)
+    plus = basis_change(unit_expr(dA("+"), basis="circular"), "xy")
+    assert np.allclose(plus.coeff(dA("x")), -r * np.eye(2))
+    assert np.allclose(plus.coeff(dA("y")), -1j * r * np.eye(2))
+    plus = basis_change(unit_expr(dAstar("+"), basis="circular"), "xy")
+    assert np.allclose(plus.coeff(dAstar("x")), -r * np.eye(2))
+    assert np.allclose(plus.coeff(dAstar("y")), 1j * r * np.eye(2))
+
+
 def test_counting_sum_is_basis_free():
     # dL[xi,xi] + dL[eta,eta] = dL[x,x] + dL[y,y]
     total = basis_change(
@@ -114,11 +129,19 @@ def test_dt_unchanged_under_basis_change():
 
 
 def test_basis_roundtrip_identity():
+    # every ordered pair of bases maps directly, circular <-> xieta included,
+    # and agrees with the route through xy
     rng = np.random.default_rng(4)
-    expr = random_expr(rng)
-    for target in ("circular", "xieta"):
-        back = basis_change(basis_change(expr, target), "xy")
-        assert (back - expr).max_norm() < 1e-14
+    xy = random_expr(rng)
+    for source in BASES:
+        expr = basis_change(xy, source)
+        for target in BASES:
+            there = basis_change(expr, target)
+            assert there.basis == target
+            via_xy = basis_change(basis_change(expr, "xy"), target)
+            assert (there - via_xy).max_norm() < 1e-14, (source, target)
+            back = basis_change(there, source)
+            assert (back - expr).max_norm() < 1e-14, (source, target)
 
 
 def test_unknown_basis_rejected():
@@ -167,6 +190,24 @@ def test_v_and_vprime_share_vacuum_visible_coefficients():
     vprime = qsde_coefficients("Vprime", params)
     for key in (dAstar("x"), dAstar("y"), DT):
         assert np.max(np.abs(uprime.coeff(key) - vprime.coeff(key))) < 1e-14
+
+
+def test_vprime_in_polarimeter_channels():
+    # each channel a = xi, eta counts through its gauge term L_a - 1 and
+    # carries the displaced drive f / sqrt(2); there is no cross-channel gauge
+    params = params_for(alpha=1.7, kappa=1.1, phi=2.0)
+    f = params.drive(0.0)
+    lxi, leta = l_xi_eta(params.kappa, params.space)
+    eye = np.eye(params.space.dim)
+    want = {DT: 0.5 * abs(f) ** 2 * (lxi + leta - 2 * eye)}
+    for ch, lch in (("xi", lxi - eye), ("eta", leta - eye)):
+        want[dL(ch, ch)] = lch
+        want[dA(ch)] = np.conj(f) / np.sqrt(2.0) * lch
+        want[dAstar(ch)] = f / np.sqrt(2.0) * lch
+    got = basis_change(qsde_coefficients("Vprime", params), "xieta").prune(1e-14)
+    assert sorted(got.coeffs) == sorted(want)
+    for key, c in want.items():
+        assert np.max(np.abs(got.coeff(key) - c)) < 1e-14, key
 
 
 def test_unknown_name_rejected():

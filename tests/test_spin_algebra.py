@@ -95,15 +95,6 @@ def test_l_xi_eta_identities(j):
         assert np.max(np.abs(lxi @ lxi - leta @ leta - 2 * sin2k)) < 1e-12
 
 
-def test_l_xi_eta_accepts_params_object():
-    from spinprobe.generators import ModelParams
-
-    p = ModelParams.build(j=1.0, alpha=2.0, kappa=0.4)
-    a = l_xi_eta(p)
-    b = l_xi_eta(p.kappa, p.space)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
 def test_coherent_x_half_spin():
     rho = coherent_x_state(SpinSpace.from_j(0.5)).rho
     assert np.allclose(rho, 0.5 * np.ones((2, 2)), atol=1e-12)
