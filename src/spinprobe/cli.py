@@ -378,22 +378,23 @@ def cmd_ensemble(cfg: RunConfig, outdir, threads, per_trajectory=None):
     return outputs
 
 
+def _require_analytic_model(cfg: RunConfig, command):
+    """The closed-form characteristic functionals hold only without a field and at a constant drive."""
+    if cfg.B != 0 or cfg.alpha_schedule is not None:
+        raise ConfigError(f"{command}: the analytic forms assume B = 0 and a constant drive "
+                          "(no alpha_schedule)")
+
+
 def cmd_charfunc(cfg: RunConfig, outdir, threads):
     if cfg.process is None:
         raise ConfigError("charfunc requires a process (plus, minus, homodyne or limit)")
+    _require_analytic_model(cfg, "charfunc")
     scheme = _PROCESS_SCHEME[cfg.process]
     params = cfg.to_params()
     rho0 = cfg.initial_rho(params)
     p = np.diagonal(rho0).real
     k = cfg.k_grid()
-    if cfg.process == "limit":
-        analytic = cf.charfunc_limit_analytic(k, params.M, p, params.T)
-    elif cfg.process == "plus":
-        analytic = cf.charfunc_plus_analytic(k, params)
-    elif cfg.process == "minus":
-        analytic = cf.charfunc_minus_analytic(k, params, p)
-    else:
-        analytic = cf.charfunc_homodyne_analytic(k, params, p)
+    analytic = cf.charfunc_analytic(cfg.process, k, params=params, p=p)
     summary = traj.run_ensemble(params, scheme, cfg.N, cfg.base_seed, rho0=rho0, threads=threads)
     empirical = cf.empirical_charfunc(summary, cfg.process, k)
     path = os.path.join(outdir, "charfunc.csv")
@@ -407,6 +408,7 @@ def cmd_charfunc(cfg: RunConfig, outdir, threads):
 
 
 def cmd_converge(cfg: RunConfig, outdir, threads):
+    _require_analytic_model(cfg, "converge")
     if cfg.M is None:
         params = cfg.to_params()
         m_value = params.M

@@ -682,9 +682,12 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
     observations: int array of events per step for polarimetry
     (0 none, 1 xi, 2 eta), or float array of dy increments for the
     diffusive schemes. The record is replayed as a batch of one through the
-    co-simulation loop, :func:`spinprobe.trajectory._simulate_block`.
+    co-simulation loop, :func:`spinprobe.trajectory._simulate_block`, into
+    the collector that co-simulated records use, and the moments, loglik and
+    states are read from its rows: a linear replay with states of a
+    co-simulated record equals that record bit for bit.
     """
-    from .trajectory import _ReplayCollector, _simulate_block   # trajectory imports this module
+    from .trajectory import _Collector, _simulate_block   # trajectory imports this module
 
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -696,7 +699,7 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
         raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
     if scheme != "polarimetry" and not np.all(np.isfinite(observations)):
         raise ValueError("diffusive observations dy must be finite")
-    col = _ReplayCollector(n, 1, params.space.dim, keep_states)
+    col = _Collector(scheme, n, 1, params.space.dim, keep_states=keep_states)
     _simulate_block(scheme, params, None, [0], rho0, col, observations[None])
     loglik = col.loglik[0] if mode == "linear" else np.zeros(n + 1)
     return FilterRun(

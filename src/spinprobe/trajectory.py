@@ -10,34 +10,40 @@ draw of all steps would.
 
 Compute batches and reduction slices are separate. An ensemble advances
 its trajectories in as many contiguous compute batches as it has threads
-(one batch of all N on one thread), each made of whole slices of
-:data:`BLOCK` rows. Sums are kept per slice and added in slice order, so
-the partition into slices alone fixes the reduction order. Every
-per-trajectory quantity is an elementwise operation or a sum over that
-trajectory's own terms in a fixed order (a per-row ``np.vecdot`` or
-matrix-vector product, or a loop over the F_z levels of elementwise adds;
-see :class:`spinprobe.filters.LevelState`), never a matrix product across
-trajectories and never a numpy reduction along an axis of the batch, so a
-trajectory's path, moments and terminal values are bit-identical in a batch
-of any width, a batch of one included. Runs are therefore bit-identical for
-any thread count, and a replay or a per-trajectory record equals its
-ensemble row exactly.
+(one batch of all N on one thread; at most os.cpu_count() run at once),
+each made of whole slices of :data:`BLOCK` rows. Sums are kept per slice
+and added in slice order, so the partition into slices alone fixes the
+reduction order. Every per-trajectory quantity is an elementwise operation
+or a sum over that trajectory's own terms in a fixed order (a per-row
+``np.vecdot`` or matrix-vector product, or a loop over the F_z levels of
+elementwise adds; see :class:`spinprobe.filters.LevelState`), never a
+matrix product across trajectories and never a numpy reduction along an
+axis of the batch, so a trajectory's path, moments and terminal values are
+bit-identical in a batch of any width, a batch of one included. Runs are
+therefore bit-identical for any thread count, and a replay or a
+per-trajectory record equals its ensemble row exactly.
 
 :func:`_simulate_block` is the one loop that steps filters along the time
 grid. It draws each step's observations from the Philox streams, or reads
-them from a given record: :func:`spinprobe.filters.run_filter` replays a
-record as a batch of one through it, into a collector that keeps only the
-moments, loglik and states. Without a field (B = 0) the loop carries the
-batch as a :class:`spinprobe.filters.LevelState` (d real weights per
-trajectory and one shared d x d factor) and reads each step's trace
-factor, moments, drift and count rates from the one fused level sum that
-:func:`spinprobe.filters.finish_step` takes; it builds d x d states only at
-ensemble snapshots and for records that keep their states. With a field it
-carries the (batch, d, d) matrices, takes the matrix step, which is the
-reference for the level representation, and reads the same means from one
-level sum over the diagonals.
+them from a given record, and hands every step to the one collector,
+:class:`_Collector`, which defines each output process once: the moments,
+the innovations, the counts or the integrated record y, and loglik. A
+record keeps every step of those series, an ensemble adds them up per
+slice and keeps the last step as its terminals, and
+:func:`spinprobe.filters.run_filter` replays a record as a batch of one
+into a collector that keeps every step, reading the moments, loglik and
+states from the same rows as a record. Without a field (B = 0) the loop
+carries the batch as a :class:`spinprobe.filters.LevelState` (d real
+weights per trajectory and one shared d x d factor) and reads each step's
+trace factor, moments, drift and count rates from the one fused level sum
+that :func:`spinprobe.filters.finish_step` takes; it builds d x d states
+only at ensemble snapshots and for records that keep their states. With a
+field it carries the (batch, d, d) matrices, takes the matrix step, which
+is the reference for the level representation, and reads the same means
+from one level sum over the diagonals.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,6 +60,7 @@ CHUNK = 128    # time steps of Philox draws held per trajectory
 RNG_NAME = "philox4x64 key=(base_seed, trajectory_index)"
 
 _MASK64 = (1 << 64) - 1
+_CODES = np.array([[1], [2]], dtype=np.int8)   # the event codes of xi and eta counts
 
 
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -114,104 +121,87 @@ class EnsembleSummary:
     terminals: dict               # name -> (N,) per-trajectory terminal values
 
 
-class _ReplayCollector:
-    """Keeps what a replay returns: the moments and loglik per step and, if asked, the states."""
+class _Collector:
+    """Every path's output processes, written once per step for records, replays and ensembles.
 
-    def __init__(self, n, batch, dim, keep_states):
-        shape = (batch, n + 1)
-        self.fx = np.zeros(shape)
-        self.fz = np.zeros(shape)
-        self.fz2 = np.zeros(shape)
-        self.var_z = np.zeros(shape)
-        self.purity = np.zeros(shape)
-        self.loglik = np.zeros(shape)
-        self.states = np.zeros((batch, n + 1, dim, dim), dtype=complex) if keep_states else None
+    Each step writes the series of every path into one (2, series, batch)
+    array of values and squares: fx, fz, var_z and purity, the cumulative
+    processes (inn_xi, inn_eta, counts_xi and counts_eta when counting; inn,
+    y and qv for the diffusive schemes), then loglik and fz2. A replay hands
+    no prediction, so its cumulative processes stay 0.
 
-    def start(self, rho, moments):
-        self._set(0, rho, moments, 0.0)
-
-    def step(self, i, obs, pred, rho, moments, loglik):
-        self._set(i + 1, rho, moments, loglik)
-
-    def _set(self, idx, rho, moments, loglik):
-        self.fx[:, idx], self.fz[:, idx], self.fz2[:, idx], self.var_z[:, idx], self.purity[:, idx] = moments
-        self.loglik[:, idx] = loglik
-        if self.states is not None:
-            self.states[:, idx] = _matrix(rho)
-
-
-class _FullCollector(_ReplayCollector):
-    """Also keeps the record and the innovations, to build per-trajectory records."""
-
-    def __init__(self, scheme, n, batch, dim, keep_states):
-        super().__init__(n, batch, dim, keep_states)
-        self.scheme = scheme
-        if scheme == "polarimetry":
-            self.events = np.zeros((batch, n), dtype=np.int8)
-            self.inn_xi = np.zeros((batch, n + 1))
-            self.inn_eta = np.zeros((batch, n + 1))
-        else:
-            self.dy = np.zeros((batch, n))
-            self.inn = np.zeros((batch, n + 1))
-
-    def step(self, i, obs, pred, rho, moments, loglik):
-        if self.scheme == "polarimetry":
-            q_xi, q_eta = pred
-            self.events[:, i] = obs
-            self.inn_xi[:, i + 1] = self.inn_xi[:, i] + ((obs == 1) - q_xi)
-            self.inn_eta[:, i + 1] = self.inn_eta[:, i] + ((obs == 2) - q_eta)
-        else:
-            self.dy[:, i] = obs
-            self.inn[:, i + 1] = self.inn[:, i] + (obs - pred)
-        super().step(i, obs, pred, rho, moments, loglik)
-
-
-class _ReducedCollector:
-    """Per-slice sums for ensemble summaries; nothing per step per path.
-
-    The batch is cut into slices of BLOCK rows, the last possibly shorter.
-    Each step writes every series into one (series, batch) array and reduces
-    it once into sums and sums of squares per slice, so the sums of a slice
-    do not depend on which batch it ran in. The cumulative processes are
-    rows of that array.
+    With snapshot_indices None (a record or a replay) every step's values
+    are kept, with the observations and, if keep_states, the states. Each
+    kept series is an attribute of (batch, n + 1) rows, and the
+    observations are the (batch, n) events or dy. Otherwise (an ensemble)
+    the batch is cut into slices of BLOCK rows, the last possibly shorter.
+    The leading series, the moments and the cumulative processes but y and
+    qv, and their squares are added up once per step per slice, so the sums
+    of a slice do not depend on which batch it ran in. The states are summed
+    per slice at the snapshot steps, and the last step's values are the
+    terminals.
     """
 
-    SERIES_COUNTING = ("fx", "fz", "var_z", "purity", "inn_xi", "inn_eta", "counts_xi", "counts_eta")
-    SERIES_DIFFUSIVE = ("fx", "fz", "var_z", "purity", "inn")
+    COUNTING = ("fx", "fz", "var_z", "purity", "inn_xi", "inn_eta", "counts_xi", "counts_eta", "loglik", "fz2")
+    DIFFUSIVE = ("fx", "fz", "var_z", "purity", "inn", "y", "qv", "loglik", "fz2")
 
-    def __init__(self, scheme, n, batch, dim, snapshot_indices):
-        self.scheme = scheme
-        self.names = self.SERIES_COUNTING if scheme == "polarimetry" else self.SERIES_DIFFUSIVE
-        self.slices = [(a, min(a + BLOCK, batch)) for a in range(0, batch, BLOCK)]
+    def __init__(self, scheme, n, batch, dim, snapshot_indices=None, keep_states=False):
+        self.counting = scheme == "polarimetry"
+        self.names = self.COUNTING if self.counting else self.DIFFUSIVE
+        self.summed = self.names[: 8 if self.counting else 5]   # the leading series of the ensemble sums
         self._rows = np.zeros((2, len(self.names), batch))   # this step's series and their squares
-        self.sums = np.zeros((n + 1, 2, len(self.names), len(self.slices)))
+        self.values = self._rows[0]
+        if self.counting:   # (xi, eta) rows of the innovations and of the counts
+            self._inn, self._counts = self.values[4:6], self.values[6:8]
+        else:
+            self._inn, self._y, self._qv = self.values[4:7]
         self.snapshot_indices = snapshot_indices
+        if snapshot_indices is None:
+            self.kept = np.zeros((len(self.names), batch, n + 1))
+            self.obs = np.zeros((batch, n), dtype=np.int8 if self.counting else float)
+            self.states = np.zeros((batch, n + 1, dim, dim), dtype=complex) if keep_states else None
+            vars(self).update(zip(self.names, self.kept), **{"events" if self.counting else "dy": self.obs})
+            return
+        self.slices = [(a, min(a + BLOCK, batch)) for a in range(0, batch, BLOCK)]
+        self.sums = np.zeros((n + 1, 2, len(self.summed), len(self.slices)))
         self.rho_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim), dtype=complex)
         self.rho_abs2_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim))
         self._snap_pos = {int(g): k for k, g in enumerate(snapshot_indices)}
-        if scheme == "polarimetry":
-            self.cum_inn_xi, self.cum_inn_eta, self.n_xi, self.n_eta = self._rows[0, 4:]
-        else:
-            self.cum_inn = self._rows[0, 4]
-            self.cum_y = np.zeros(batch)
-            self.qv = np.zeros(batch)
-        self.loglik = np.zeros(batch)
 
-    def _store(self, idx, moments):
-        """Write the moments into the step array and add every series to the slice sums at idx."""
-        fx, fz, _, var_z, purity = moments
-        values, squares = self._rows
-        values[0], values[1], values[2], values[3] = fx, fz, var_z, purity
-        np.multiply(values, values, out=squares)
-        full = self._rows.shape[-1] // BLOCK
+    def step(self, i, obs, pred, rho, moments, loglik):
+        if pred is not None:   # a replay hands no prediction
+            if self.counting:
+                hits = obs == _CODES
+                self._inn += hits - pred
+                self._counts += hits
+            else:
+                inn = obs - pred
+                self._inn += inn
+                self._y += obs
+                self._qv += inn**2
+        if self.snapshot_indices is None:
+            self.obs[:, i] = obs
+        self.write(i + 1, rho, moments, loglik)
+
+    def write(self, idx, rho, moments, loglik):
+        """Write grid step idx's moments and loglik into the step array, then keep it or add it up."""
+        fx, fz, fz2, var_z, purity = moments
+        values = self.values
+        values[0], values[1], values[2], values[3], values[-2], values[-1] = fx, fz, var_z, purity, loglik, fz2
+        if self.snapshot_indices is None:
+            self.kept[..., idx] = values
+            if self.states is not None:
+                self.states[:, idx] = _matrix(rho)
+            return
+        rows = self._rows[:, : len(self.summed)]
+        np.multiply(rows[0], rows[0], out=rows[1])
+        full = rows.shape[-1] // BLOCK
         out = self.sums[idx]
         if full:
-            head = self._rows[..., : full * BLOCK]
+            head = rows[..., : full * BLOCK]
             head.reshape(*head.shape[:-1], full, BLOCK).sum(-1, out=out[..., :full])
         if full < len(self.slices):
-            self._rows[..., full * BLOCK :].sum(-1, out=out[..., full])
-
-    def _snapshot(self, idx, rho):
+            rows[..., full * BLOCK :].sum(-1, out=out[..., full])
         k = self._snap_pos.get(idx)
         if k is not None:
             rho = _matrix(rho)
@@ -219,27 +209,6 @@ class _ReducedCollector:
             for s, (a, b) in enumerate(self.slices):
                 self.rho_sum[k, s] = rho[a:b].sum(axis=0)
                 self.rho_abs2_sum[k, s] = abs2[a:b].sum(axis=0)
-
-    def start(self, rho, moments):
-        self._store(0, moments)
-        self._snapshot(0, rho)
-
-    def step(self, i, obs, pred, rho, moments, loglik):
-        if self.scheme == "polarimetry":
-            q_xi, q_eta = pred
-            hit_xi, hit_eta = obs == 1, obs == 2
-            self.cum_inn_xi += hit_xi - q_xi
-            self.cum_inn_eta += hit_eta - q_eta
-            self.n_xi += hit_xi
-            self.n_eta += hit_eta
-        else:
-            inn = obs - pred
-            self.cum_inn += inn
-            self.cum_y += obs
-            self.qv += inn**2
-        self._store(i + 1, moments)
-        self._snapshot(i + 1, rho)
-        self.loglik = loglik
 
 
 class _Noise:
@@ -295,8 +264,8 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
 
     Without observations, each step's observation is sampled from the
     predictive law with one noise draw per trajectory, and each step hands
-    the collector the observations and their prediction: the count
-    probabilities (q_xi, q_eta), or the drift times dt of dy. Given a
+    the collector the observations and their prediction: the (2, batch)
+    count probabilities (q_xi, q_eta), or the drift times dt of dy. Given a
     (batch, n) array of event codes or dy values, the record is replayed
     instead, base_seed is not used and the prediction handed on is None.
     rho0 None starts from the x-polarized coherent state; a counting run
@@ -317,7 +286,7 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
 
     loglik = np.zeros(batch)
     moments, means = _moments(rho, kern)
-    collector.start(rho, moments)
+    collector.write(0, rho, moments, loglik)
 
     sqdt = np.sqrt(dt)
     for i in range(n):
@@ -326,7 +295,7 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
             obs, pred = observations[:, i], None
         elif scheme == "polarimetry":
             half_a2dt = 0.5 * params.drive_power(t) * dt
-            pred = q_xi, q_eta = half_a2dt * means[3], half_a2dt * means[4]   # predicted count probabilities
+            pred = q_xi, q_eta = half_a2dt * means[3:5]   # predicted count probabilities
             u = noise(i)   # xi if u < q_xi, else eta if u < q_xi + q_eta
             obs = 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
         else:
@@ -342,66 +311,32 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     return collector
 
 
-def _scaled_counts(n_xi, n_eta, alpha):
-    """y_plus = (n_xi + n_eta) / alpha^2 and y_minus = (n_xi - n_eta) / alpha; unscaled for alpha = 0."""
-    total, diff = n_xi + n_eta, n_xi - n_eta
-    if alpha > 0:
-        return total / alpha**2, diff / alpha
-    return total.astype(float), diff.astype(float)
-
-
-def _records_from_collector(scheme, params, base_seed, indices, col: _FullCollector):
-    """Per-trajectory records; their arrays are rows of the collector's, not copies."""
-    n = params.n_steps
-    t = params.time_grid()
-    out = []
-    for b, idx in enumerate(indices):
-        common = dict(
-            scheme=scheme,
-            seed=base_seed,
-            traj_index=idx,
-            params=params,
-            t=t,
-            fx=col.fx[b],
-            fz=col.fz[b],
-            fz2=col.fz2[b],
-            var_z=col.var_z[b],
-            purity=col.purity[b],
-            loglik=col.loglik[b],
-            states=None if col.states is None else col.states[b],
-        )
-        if scheme == "polarimetry":
-            ev = col.events[b]
-            n_xi = np.concatenate([[0], np.cumsum(ev == 1)]).astype(np.int64)
-            n_eta = np.concatenate([[0], np.cumsum(ev == 2)]).astype(np.int64)
-            y_plus, y_minus = _scaled_counts(n_xi, n_eta, params.alpha)
-            rec = TrajectoryRecord(
-                events=ev,
-                counts_xi=n_xi,
-                counts_eta=n_eta,
-                y_plus=y_plus,
-                y_minus=y_minus,
-                inn_xi=col.inn_xi[b],
-                inn_eta=col.inn_eta[b],
-                **common,
-            )
-        else:
-            dy = col.dy[b]
-            rec = TrajectoryRecord(
-                dy=dy,
-                y=np.concatenate([[0.0], np.cumsum(dy)]),
-                inn=col.inn[b],
-                **common,
-            )
-        out.append(rec)
-    return out
+def _count_outputs(series, alpha):
+    """Cast the counts in the dict series to int and add y_plus = (n_xi + n_eta) / alpha^2 and
+    y_minus = (n_xi - n_eta) / alpha, unscaled for alpha = 0."""
+    n_xi = series["counts_xi"] = series["counts_xi"].astype(np.int64)
+    n_eta = series["counts_eta"] = series["counts_eta"].astype(np.int64)
+    scale = alpha if alpha > 0 else 1.0
+    series["y_plus"], series["y_minus"] = (n_xi + n_eta) / scale**2, (n_xi - n_eta) / scale
 
 
 def _simulate_full(scheme, params, seed, rho0, keep_states, indices):
-    """Co-simulate the trajectories in indices as one block and return their records."""
-    col = _FullCollector(scheme, params.n_steps, len(indices), params.space.dim, keep_states)
+    """Co-simulate the trajectories in indices as one block and return their records.
+
+    A record's arrays are rows of the collector's, not copies; only the counts are cast to int.
+    """
+    col = _Collector(scheme, params.n_steps, len(indices), params.space.dim, keep_states=keep_states)
     _simulate_block(scheme, params, seed, indices, rho0, col)
-    return _records_from_collector(scheme, params, seed, indices, col)
+    t = params.time_grid()
+    obs = "events" if col.counting else "dy"
+    out = []
+    for b, idx in enumerate(indices):
+        series = {name: kept[b] for name, kept in zip(col.names, col.kept) if name != "qv"}
+        if col.counting:
+            _count_outputs(series, params.alpha)
+        states = None if col.states is None else col.states[b]
+        out.append(TrajectoryRecord(scheme, seed, idx, params, t, states=states, **{obs: col.obs[b]}, **series))
+    return out
 
 
 def simulate_polarimetry(params: ModelParams, seed: int, rho0=None, keep_states=False) -> TrajectoryRecord:
@@ -481,18 +416,18 @@ def run_ensemble(
     snapshot_indices = snapshot_indices.astype(int)
 
     def run_batch(indices):
-        col = _ReducedCollector(scheme, n, len(indices), dim, snapshot_indices)
+        col = _Collector(scheme, n, len(indices), dim, snapshot_indices)
         _simulate_block(scheme, params, base_seed, indices, rho0, col)
         return col
 
     batches = _batches(N, threads)
     if len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(batches), os.cpu_count() or 1)) as pool:
             cols = list(pool.map(run_batch, batches))
     else:
         cols = [run_batch(batches[0])]
 
-    names = cols[0].names
+    names = cols[0].summed
     sums = np.zeros(cols[0].sums.shape[:-1])   # (n + 1, 2, series): sums, sums of squares
     rho_sum = np.zeros((len(snapshot_indices), dim, dim), dtype=complex)
     rho_abs2 = np.zeros((len(snapshot_indices), dim, dim))
@@ -501,15 +436,11 @@ def run_ensemble(
             sums += col.sums[..., s]
             rho_sum += col.rho_sum[:, s]
             rho_abs2 += col.rho_abs2_sum[:, s]
+    # the terminals: the last step's cumulative processes and loglik
+    ends = np.concatenate([col.values for col in cols], axis=1)
+    terminals = dict(zip(cols[0].names[4:-1], ends[4:-1]))
     if scheme == "polarimetry":
-        parts = dict(counts_xi="n_xi", counts_eta="n_eta", loglik="loglik", inn_xi="cum_inn_xi", inn_eta="cum_inn_eta")
-    else:
-        parts = dict(y="cum_y", qv="qv", loglik="loglik", inn="cum_inn")
-    terminals = {key: np.concatenate([getattr(col, attr) for col in cols]) for key, attr in parts.items()}
-    if scheme == "polarimetry":
-        n_xi, n_eta = (terminals[key].astype(np.int64) for key in ("counts_xi", "counts_eta"))
-        terminals["counts_xi"], terminals["counts_eta"] = n_xi, n_eta
-        terminals["y_plus"], terminals["y_minus"] = _scaled_counts(n_xi, n_eta, params.alpha)
+        _count_outputs(terminals, params.alpha)
 
     series_mean = {name: sums[:, 0, j] / N for j, name in enumerate(names)}
     series_sem = {}

@@ -25,7 +25,7 @@ from spinprobe.ito_calculus import (
 )
 from spinprobe import filters, trajectory as traj, charfuncs as cf
 from spinprobe.cli import main as cli_main
-from spinprobe.trajectory import _FullCollector, _simulate_block
+from spinprobe.trajectory import _Collector, _simulate_block
 
 K_GRID = np.linspace(-5.0, 5.0, 41)
 
@@ -96,7 +96,7 @@ def test_criterion_02_filter_consistency():
         for j in (0.5, 1.0, 2.0):
             params = ModelParams.build(j=j, alpha=3.0, kappa=0.2, T=0.15, dt=1e-4)
             rho0 = coherent_x_state(params.space).rho
-            col = _FullCollector(scheme, params.n_steps, n_paths, params.space.dim, True)
+            col = _Collector(scheme, params.n_steps, n_paths, params.space.dim, keep_states=True)
             _simulate_block(scheme, params, 77, list(range(n_paths)), rho0, col)
             obs_all = col.events if scheme == "polarimetry" else col.dy
             for b in range(n_paths):

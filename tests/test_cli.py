@@ -197,6 +197,26 @@ def test_charfunc_csv(tmp_path):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["charfunc", "--process", "minus", "--B", "3"], None, id="charfunc-B"),
+    pytest.param(["charfunc", "--process", "minus"], {"alpha_schedule": [[0.0, 4.0], [0.5, 8.0]]},
+                 id="charfunc-schedule"),
+    pytest.param(["converge", "--M", "1", "--B", "2"], None, id="converge-B"),
+])
+def test_analytic_commands_reject_field_and_schedule(tmp_path, capsys, argv, config):
+    # the closed forms hold only at B = 0 with a constant drive
+    if argv[0] == "charfunc":
+        argv = argv + ["--alpha", "4", "--kappa", "0.25", "--dt", "1e-3", "--N", "20"]
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, **config)]
+    out = tmp_path / "out"
+    rc = main(argv + ["--J", "1/2", "--T", "1", "--outdir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "the analytic forms assume B = 0 and a constant drive" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_ensemble_roundtrip_and_thread_invariance(tmp_path):
     base = ["ensemble", "--J", "1/2", "--alpha", "3.0", "--kappa", "0.2", "--T", "0.1",
             "--dt", "1e-3", "--scheme", "polarimetry", "--N", "40", "--seed", "21"]

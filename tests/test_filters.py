@@ -355,7 +355,7 @@ def test_filter_steps_positive_without_projection(scheme, j, B, monkeypatch):
     monkeypatch.setattr(filters, "min_eig_hermitian", forbidden)
     p = params_for(j=j, alpha=4.0, kappa=0.25, B=B, dt=1e-3, T=0.1)
     rho0 = coherent_x_state(p.space).rho
-    col = traj._FullCollector(scheme, p.n_steps, 20, p.space.dim, True)
+    col = traj._Collector(scheme, p.n_steps, 20, p.space.dim, keep_states=True)
     traj._simulate_block(scheme, p, base_seed=3, indices=list(range(20)), rho0=rho0, collector=col)
     assert np.min(np.linalg.eigvalsh(col.states)) >= -1e-12
     obs = col.events if scheme == "polarimetry" else col.dy
@@ -465,7 +465,7 @@ def test_positivity_along_trajectories(scheme):
     p = params_for(j=1.0, alpha=3.0, kappa=0.3, dt=1e-3, T=0.1)
     for block in range(10):
         rho0 = random_density(p.space, rng).rho
-        col = traj._FullCollector(scheme, p.n_steps, 100, p.space.dim, True)
+        col = traj._Collector(scheme, p.n_steps, 100, p.space.dim, keep_states=True)
         traj._simulate_block(scheme, p, base_seed=block, indices=list(range(100)), rho0=rho0, collector=col)
         assert np.min(np.linalg.eigvalsh(col.states)) >= -1e-7
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ def test_ensemble_single_matches_simulate():
     rec = traj.simulate_homodyne(p, seed=23, keep_states=True)
     s = traj.run_ensemble(p, "homodyne", 1, base_seed=23)
     assert np.array_equal(s.mean_rho, rec.states[s.snapshot_indices])
+    # every terminal is the last entry of the same path's record series; N = 300
+    # runs as slices of 256 and 44 in the ensemble and as one block of records
+    for j, B in ((0.5, 0.0), (2.0, 0.5)):
+        p = params_for(j=j, alpha=3.0, kappa=0.2, B=B, T=0.1)
+        for scheme in ("polarimetry", "homodyne", "limit"):
+            s = traj.run_ensemble(p, scheme, 300, base_seed=23)
+            records = traj._simulate_full(scheme, p, 23, None, False, list(range(300)))
+            for name, values in s.terminals.items():
+                if name == "qv":   # no record series: the sum of the squared innovation increments
+                    qv = [np.sum(np.diff(rec.inn) ** 2) for rec in records]
+                    assert np.max(np.abs(values - qv)) <= 1e-12, (scheme, j)
+                    continue
+                last = np.array([getattr(rec, name)[-1] for rec in records])
+                assert values.dtype == last.dtype and np.array_equal(values, last), (scheme, j, name)
 
 
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
@@ -139,6 +155,40 @@ def test_thread_count_invariance(scheme, monkeypatch):
                 assert np.array_equal(runs[0].terminals[name], other.terminals[name])
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_thread_pool_capped_at_cpu_count(monkeypatch, cpus, workers):
+    # threads = 10**6 asks for one batch per slice (20 here); the pool gets at
+    # most os.cpu_count() workers, and a serial stand-in starts no thread
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    p = params_for(T=0.02)
+    monkeypatch.setattr(traj, "BLOCK", 2)
+    ref = traj.run_ensemble(p, "limit", 40, base_seed=3)
+    monkeypatch.setattr(traj, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(traj.os, "cpu_count", lambda: cpus)
+    threads_before = threading.active_count()
+    s = traj.run_ensemble(p, "limit", 40, base_seed=3, threads=10**6)
+    assert threading.active_count() == threads_before
+    assert started == [workers]
+    assert len(traj._batches(40, 10**6)) == 20
+    for name in ref.series_mean:
+        assert np.array_equal(s.series_mean[name], ref.series_mean[name])
+    assert np.array_equal(s.terminals["y"], ref.terminals["y"])
+
+
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
 @pytest.mark.parametrize("j,B", [(0.5, 0.0), (1.0, 0.0), (1.5, 0.0), (2.0, 0.5), (5.0, 0.0)])
 def test_rows_independent_of_batch_width(scheme, j, B):
@@ -149,7 +199,7 @@ def test_rows_independent_of_batch_width(scheme, j, B):
     n, dim = p.n_steps, p.space.dim
 
     def run(indices):
-        col = traj._FullCollector(scheme, n, len(indices), dim, keep_states=True)
+        col = traj._Collector(scheme, n, len(indices), dim, keep_states=True)
         return traj._simulate_block(scheme, p, 47, indices, rho0, col)
 
     wide = run(list(range(1000)))
