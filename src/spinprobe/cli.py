@@ -395,7 +395,7 @@ def cmd_charfunc(cfg: RunConfig, outdir, threads):
     p = np.diagonal(rho0).real
     k = cfg.k_grid()
     analytic = cf.charfunc_analytic(cfg.process, k, params=params, p=p)
-    summary = traj.run_ensemble(params, scheme, cfg.N, cfg.base_seed, rho0=rho0, threads=threads)
+    summary = traj.run_ensemble(params, scheme, cfg.N, cfg.base_seed, rho0=rho0, threads=threads, series=False)
     empirical = cf.empirical_charfunc(summary, cfg.process, k)
     path = os.path.join(outdir, "charfunc.csv")
     write_csv(

@@ -51,10 +51,12 @@ also be carried in the F_z level basis as a :class:`LevelState`,
 rho = D o (g g^T): g holds d real weights per state, level-major, and
 D = rho0 o C_hat(t) is one (d, d) factor shared by the batch (rho0 for the
 limit and counting schemes, times the running product of the homodyne
-C_hat). A step multiplies g by the step factors f (c +- s only on the
-states that counted) and D by C_hat; :func:`finish_step` rescales g by
-1/sqrt(tr). D's diagonal stays rho0's, so nothing shared can underflow.
-d x d matrices are built only when asked for. The matrix step is the
+C_hat). A step multiplies g by the step factors f and D by C_hat;
+:func:`finish_step` rescales g by 1/sqrt(tr). A counting step leaves the
+states without a count as they are, so the propagation loop steps only the
+states that counted (by c +- s) and writes them back in place. D's
+diagonal stays rho0's, so nothing shared can underflow. d x d matrices
+are built only when asked for. The matrix step is the
 reference: it is what :func:`step` takes, what every run with a field
 takes, and what the closed-form tests pin.
 
@@ -87,6 +89,8 @@ given record for :func:`run_filter` (as a batch of one). Both apply
 A counting step applies at most one recorded count; the one-jump error per
 step is O((alpha^2 dt)^2), and :func:`check_jump_bound` enforces
 alpha^2 dt <= 0.1. All update functions are pure: they return fresh states.
+Only the propagation loop writes in place, into its own batch, with
+:meth:`LevelState.put`.
 """
 
 from dataclasses import dataclass, replace
@@ -436,7 +440,16 @@ def _level_dot(x, y, d):
 
 
 class _SharedFactor(NamedTuple):
-    """The (d, d) factor D of a LevelState batch, with what its step sums read of it."""
+    """The (d, d) factor D of a LevelState batch, with what its step sums read of it.
+
+    Built without moments (for a pass that reads only traces and means), it
+    keeps no D and no fx_w and holds still: C_hat is 1 on the level rows, the
+    only rows such a pass reads. Each sum over more than LEVEL_LOOP_MAX levels
+    is one BLAS product per state, whose kernel takes the weight rows in
+    groups (of four, with OpenBLAS), so a row's bits depend on how many rows
+    the product has; there the unread U rows stay in W, and every trace and
+    mean keeps the bits of the full sum.
+    """
 
     D: np.ndarray
     p0: np.ndarray      # diag(D), real: rho0's diagonal
@@ -444,14 +457,19 @@ class _SharedFactor(NamedTuple):
     fx_w: np.ndarray    # 2 F_x[i+1, i] Re D[i+1, i]
 
     @classmethod
-    def of(cls, D, kern: FilterKernels):
+    def of(cls, D, kern: FilterKernels, moments=True):
         p0 = D.diagonal().real.copy()
         abs2 = D.real**2 + D.imag**2
         U = 2.0 * np.triu(abs2, 1) + np.diag(p0**2)   # |D|^2 over i <= j, off-diagonal doubled
-        return cls(D, p0, np.vstack([p0 * kern.level_rows, U]), 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
+        W = np.vstack([p0 * kern.level_rows, U])
+        if not moments:
+            return cls(None, p0, W if kern.dim > LEVEL_LOOP_MAX else W[: len(LEVEL_ROWS)], None)
+        return cls(D, p0, W, 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
 
     def times(self, sc: LevelSchur):
         """The factor D o C_hat."""
+        if self.D is None:   # built without moments: nothing read moves
+            return self
         return _SharedFactor(self.D * sc.C_hat, self.p0, self.W * sc.sums_factor, self.fx_w * sc.C_hat_sub)
 
 
@@ -470,7 +488,15 @@ class LevelState:
     A normalized state (from :func:`finish_step`) carries its moments:
     ``means``, the (5, batch) rows pi(F_z), pi(F_z^2), pi(sin kappa F_z),
     pi(L_xi^2) and pi(L_eta^2), and ``fx`` and ``purity``. A raw step output
-    carries None.
+    carries None. A batch built with ``moments=False`` carries only the
+    means (fx and purity stay None) and has no matrix form; its traces and
+    means have the same bits as with moments.
+
+    The steps are pure, but the one propagation loop updates its own batch
+    in place where a counting step (B = 0) moves only the states that
+    counted: :meth:`take` hands those rows out as a batch, and :meth:`put`
+    writes their normalized step back, moments included. The other rows keep
+    their weights and moments bit for bit.
     """
 
     __slots__ = ("g", "shared", "means", "fx", "purity")
@@ -483,8 +509,8 @@ class LevelState:
         self.purity = purity
 
     @classmethod
-    def initial(cls, rho0, batch, kern: FilterKernels):
-        shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern)
+    def initial(cls, rho0, batch, kern: FilterKernels, moments=True):
+        shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern, moments)
         g = np.broadcast_to((shared.p0 > 0.0).astype(float)[:, None], (kern.dim, batch)).copy()
         return cls(g, shared)._normalized()[0]
 
@@ -502,6 +528,18 @@ class LevelState:
         g = self.g.T
         return self.shared.D * (g[:, :, None] * g[:, None, :])
 
+    def take(self, rows):
+        """The states at the integer indices rows, as a new batch without moments (a raw step input)."""
+        return LevelState(self.g[:, rows], self.shared)
+
+    def put(self, rows, new):
+        """Overwrite the states at rows, and their moments, with the normalized batch new, in place."""
+        self.g[:, rows] = new.g
+        self.means[:, rows] = new.means
+        if self.fx is not None:
+            self.fx[rows] = new.fx
+            self.purity[rows] = new.purity
+
     def _normalized(self):
         """(This batch at unit trace with its moments, the traces).
 
@@ -509,7 +547,7 @@ class LevelState:
         trace) and z_i = sum_{j >= i} U_ij g^2_j, so purity = sum_ij
         |D_ij|^2 g^2_i g^2_j is the symmetric sum over i <= j, sum_i g^2_i z_i
         over tr^2. fx = trace(rho F_x) is a level sum over the sub-diagonal,
-        since F_x is tridiagonal.
+        since F_x is tridiagonal. A batch without moments stops at the means.
         """
         g, sh = self.g, self.shared
         d = len(g)
@@ -521,6 +559,8 @@ class LevelState:
         inv = 1.0 / tr
         g = g * np.sqrt(inv)
         n = len(LEVEL_ROWS)
+        if sh.fx_w is None:
+            return LevelState(g, sh, sums[1:n] * inv), tr
         fx = _level_sums(sh.fx_w[None], g[1:] * g[:-1], d)[0]
         purity = _level_dot(g2, sums[n:], d) * (inv * inv)
         return LevelState(g, sh, sums[1:n] * inv, fx, purity), tr

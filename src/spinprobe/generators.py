@@ -127,8 +127,9 @@ class ModelParams:
 
 
 def _cos_sin(params):
+    """cos(kappa m) and sin(kappa m) over the F_z levels m: the diagonals of cos(kappa F_z) and sin(kappa F_z)."""
     m = params.space.fz_levels()
-    return np.diag(np.cos(params.kappa * m)).astype(complex), np.diag(np.sin(params.kappa * m)).astype(complex)
+    return np.cos(params.kappa * m), np.sin(params.kappa * m)
 
 
 def _check_dim(op, params):
@@ -148,8 +149,8 @@ def _field(x, params: ModelParams, sign):
 def _lindblad(x, params: ModelParams, t, sign):
     """The finite-drive generator in the picture of the field sign; its dissipator is self-dual."""
     x = _check_dim(x.rho if isinstance(x, DensityState) else x, params)
-    c, s = _cos_sin(params)
-    out = params.drive_power(t) * (s @ x @ s + c @ x @ c - x)
+    c, s = _cos_sin(params)   # diagonal, so S X S and C X C are elementwise: (s_i x_ij) s_j
+    out = params.drive_power(t) * ((s[:, None] * x) * s + (c[:, None] * x) * c - x)
     if params.B != 0.0:
         out = out + _field(x, params, sign)
     return out
@@ -180,9 +181,8 @@ def limit_lindblad(op, params: ModelParams, picture: str = "heisenberg") -> np.n
         op = op.rho
     op = _check_dim(op, params)
     m = params.space.fz_levels()
-    f_z = np.diag(m).astype(complex)
-    fz2 = np.diag(m**2).astype(complex)
-    out = params.M * (f_z @ op @ f_z - 0.5 * (fz2 @ op + op @ fz2))
+    m2 = m**2   # F_z and F_z^2 are diagonal, so every product is elementwise
+    out = params.M * ((m[:, None] * op) * m - 0.5 * (m2[:, None] * op + op * m2))
     if params.B != 0.0:
         out = out + _field(op, params, 1 if picture == "heisenberg" else -1)
     return out

@@ -41,6 +41,23 @@ only at ensemble snapshots and for records that keep their states. With a
 field it carries the (batch, d, d) matrices, takes the matrix step, which
 is the reference for the level representation, and reads the same means
 from one level sum over the diagonals.
+
+A counting step without a field is event-driven. The no-count drift is the
+identity (L_xi^2 + L_eta^2 = 2) and the count probability per step does
+not depend on the state, so only the rows that counted take
+:func:`spinprobe.filters.increment` and ``finish_step``, as one batch, and
+the loop writes them back into its own LevelState in place; every other row
+keeps its weights, moments and loglik bit for bit. The collector still
+writes every row at every step, in the same reduction order.
+
+``run_ensemble(..., series=False)`` is a terminals pass, for outputs that
+read only each trajectory's last cumulative values (the ``charfunc``
+command). Its collector writes only the cumulative processes and loglik,
+and its states carry no fx or purity: a LevelState is built without them
+once, at the start, and the matrix path simply does not compute them. Each
+step still takes the trace and the means that the prediction reads, with
+the same bits as a full pass, so the terminals are the same; the per-step
+sums and the snapshot states are skipped.
 """
 
 import os
@@ -63,10 +80,22 @@ _MASK64 = (1 << 64) - 1
 _CODES = np.array([[1], [2]], dtype=np.int8)   # the event codes of xi and eta counts
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its key as is: Philox(key=...) would first draw a SeedSequence from OS entropy and drop it."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._key
+
+
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trajectory."""
+    """Independent counter-based stream for one trajectory: Philox keyed by (base_seed, index)."""
     key = np.array([base_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass
@@ -140,35 +169,54 @@ class _Collector:
     of a slice do not depend on which batch it ran in. The states are summed
     per slice at the snapshot steps, and the last step's values are the
     terminals.
+
+    With series False (a terminals pass) only the cumulative processes and
+    loglik are written, and the last step's values are the terminals. The
+    states then carry no fx or purity (``moments`` is False), and nothing
+    is kept or added up. Each kind picks its writer once, at construction.
     """
 
     COUNTING = ("fx", "fz", "var_z", "purity", "inn_xi", "inn_eta", "counts_xi", "counts_eta", "loglik", "fz2")
     DIFFUSIVE = ("fx", "fz", "var_z", "purity", "inn", "y", "qv", "loglik", "fz2")
 
-    def __init__(self, scheme, n, batch, dim, snapshot_indices=None, keep_states=False):
+    def __init__(self, scheme, n, batch, dim, snapshot_indices=None, keep_states=False, series=True):
         self.counting = scheme == "polarimetry"
         self.names = self.COUNTING if self.counting else self.DIFFUSIVE
         self.summed = self.names[: 8 if self.counting else 5]   # the leading series of the ensemble sums
+        self.moments = series   # whether the states carry fx and purity
+        self.kern = None   # the run's kernels, bound by start()
         self._rows = np.zeros((2, len(self.names), batch))   # this step's series and their squares
         self.values = self._rows[0]
         if self.counting:   # (xi, eta) rows of the innovations and of the counts
             self._inn, self._counts = self.values[4:6], self.values[6:8]
         else:
             self._inn, self._y, self._qv = self.values[4:7]
-        self.snapshot_indices = snapshot_indices
+        self.obs = None
+        # the writer is kept as a plain function: a bound method on the instance would make a
+        # reference cycle, and a dropped collector would then wait for the cyclic garbage collector
+        if not series:
+            self._write = _Collector._write_loglik
+            return
         if snapshot_indices is None:
             self.kept = np.zeros((len(self.names), batch, n + 1))
             self.obs = np.zeros((batch, n), dtype=np.int8 if self.counting else float)
             self.states = np.zeros((batch, n + 1, dim, dim), dtype=complex) if keep_states else None
             vars(self).update(zip(self.names, self.kept), **{"events" if self.counting else "dy": self.obs})
+            self._write = _Collector._keep
             return
         self.slices = [(a, min(a + BLOCK, batch)) for a in range(0, batch, BLOCK)]
         self.sums = np.zeros((n + 1, 2, len(self.summed), len(self.slices)))
         self.rho_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim), dtype=complex)
         self.rho_abs2_sum = np.zeros((len(snapshot_indices), len(self.slices), dim, dim))
         self._snap_pos = {int(g): k for k, g in enumerate(snapshot_indices)}
+        self._write = _Collector._add
 
-    def step(self, i, obs, pred, rho, moments, loglik):
+    def start(self, kern, rho, means, loglik):
+        """Bind the run's kernels and write grid step 0."""
+        self.kern = kern
+        self.write(0, rho, means, loglik)
+
+    def step(self, i, obs, pred, rho, means, loglik):
         if pred is not None:   # a replay hands no prediction
             if self.counting:
                 hits = obs == _CODES
@@ -179,20 +227,34 @@ class _Collector:
                 self._inn += inn
                 self._y += obs
                 self._qv += inn**2
-        if self.snapshot_indices is None:
+        if self.obs is not None:
             self.obs[:, i] = obs
-        self.write(i + 1, rho, moments, loglik)
+        self.write(i + 1, rho, means, loglik)
 
-    def write(self, idx, rho, moments, loglik):
-        """Write grid step idx's moments and loglik into the step array, then keep it or add it up."""
-        fx, fz, fz2, var_z, purity = moments
+    def write(self, idx, rho, means, loglik):
+        """Write grid step idx's values, then keep them, add them up or keep only the last, by the collector's kind."""
+        self._write(self, idx, rho, means, loglik)
+
+    def _write_loglik(self, idx, rho, means, loglik):
+        """A terminals pass's writer: loglik is the only series besides the cumulative processes."""
+        self.values[-2] = loglik
+
+    def _write_moments(self, rho, means, loglik):
+        """Write this step's moments and loglik into the step array."""
+        fx, fz, fz2, var_z, purity = _moments(rho, means, self.kern)
         values = self.values
         values[0], values[1], values[2], values[3], values[-2], values[-1] = fx, fz, var_z, purity, loglik, fz2
-        if self.snapshot_indices is None:
-            self.kept[..., idx] = values
-            if self.states is not None:
-                self.states[:, idx] = _matrix(rho)
-            return
+
+    def _keep(self, idx, rho, means, loglik):
+        """A record's writer: keep grid step idx's values and, if asked, its states."""
+        self._write_moments(rho, means, loglik)
+        self.kept[..., idx] = self.values
+        if self.states is not None:
+            self.states[:, idx] = _matrix(rho)
+
+    def _add(self, idx, rho, means, loglik):
+        """An ensemble's writer: add grid step idx's leading series up per slice, and its states at snapshots."""
+        self._write_moments(rho, means, loglik)
         rows = self._rows[:, : len(self.summed)]
         np.multiply(rows[0], rows[0], out=rows[1])
         full = rows.shape[-1] // BLOCK
@@ -241,22 +303,27 @@ def _matrix(rho):
     return rho.matrix() if isinstance(rho, filters.LevelState) else rho
 
 
-def _moments(rho, kern):
-    """The moments (fx, fz, fz2, var_z, purity) of a batch of unit-trace states, and their means.
+def _means(rho, kern):
+    """The (5, batch) means pi(F_z), pi(F_z^2), pi(sin kappa F_z), pi(L_xi^2) and pi(L_eta^2) of unit-trace states.
 
-    The means are the (5, batch) rows pi(F_z), pi(F_z^2), pi(sin kappa F_z),
-    pi(L_xi^2) and pi(L_eta^2): a LevelState carries them from its fused step
-    sum; for matrices they are one level sum over the diagonals.
+    A LevelState carries them from its fused step sum; for matrices they are
+    one level sum over the diagonals.
     """
     if isinstance(rho, filters.LevelState):
-        means, fx, purity = rho.means, rho.fx, rho.purity
+        return rho.means
+    return filters._level_sums(kern.level_rows[1:], rho.diagonal(0, 1, 2).real.T, kern.dim)
+
+
+def _moments(rho, means, kern):
+    """The moments (fx, fz, fz2, var_z, purity) of a batch of unit-trace states with the given means."""
+    if isinstance(rho, filters.LevelState):
+        fx, purity = rho.fx, rho.purity
     else:   # F_x is tridiagonal; rho is Hermitian, so trace(rho^2) = sum |rho_ij|^2
-        means = filters._level_sums(kern.level_rows[1:], rho.diagonal(0, 1, 2).real.T, kern.dim)
         fx = 2.0 * np.vecdot(np.diagonal(rho, -1, -2, -1).real, kern.F_x_sub)
         flat = rho.reshape(len(rho), -1)
         purity = np.vecdot(flat, flat).real
     fz, fz2 = means[0], means[1]
-    return (fx, fz, fz2, fz2 - fz**2, purity), means
+    return fx, fz, fz2, fz2 - fz**2, purity
 
 
 def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observations=None):
@@ -270,6 +337,10 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     instead, base_seed is not used and the prediction handed on is None.
     rho0 None starts from the x-polarized coherent state; a counting run
     whose alpha^2 dt exceeds the one-jump bound raises ValueError.
+
+    A counting step without a field leaves every state that did not count
+    unchanged (the no-count drift is the identity), so only the rows that
+    counted take the step, and the batch is updated in place there.
     """
     filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
     rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
@@ -278,15 +349,16 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     dt = params.dt
     batch = len(indices)
     if kern.U is None:   # B = 0: d level weights per trajectory
-        rho = filters.LevelState.initial(rho0, batch, kern)
+        rho = filters.LevelState.initial(rho0, batch, kern, collector.moments)
     else:
         rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
+    counts_only = scheme == "polarimetry" and kern.U is None
 
     noise = None if observations is not None else _Noise(scheme, base_seed, indices, n)
 
     loglik = np.zeros(batch)
-    moments, means = _moments(rho, kern)
-    collector.write(0, rho, moments, loglik)
+    means = _means(rho, kern)
+    collector.start(kern, rho, means, loglik)
 
     sqdt = np.sqrt(dt)
     for i in range(n):
@@ -304,10 +376,17 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
             else:
                 pred = 2.0 * kern.sqrt_M * dt * means[0]
             obs = pred + sqdt * noise(i)
-        rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
-        loglik = loglik + np.log(tr)
-        moments, means = _moments(rho, kern)
-        collector.step(i, obs, pred, rho, moments, loglik)
+        if counts_only:   # means is rho.means, so put() updates it too
+            rows = np.flatnonzero(obs)
+            if rows.size:
+                new, tr = finish_step(filters.increment(scheme, rho.take(rows), obs[rows], t, params, kern))
+                rho.put(rows, new)
+                loglik[rows] += np.log(tr)
+        else:
+            rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
+            loglik = loglik + np.log(tr)
+            means = _means(rho, kern)
+        collector.step(i, obs, pred, rho, means, loglik)
     return collector
 
 
@@ -385,6 +464,8 @@ def run_ensemble(
     rho0=None,
     threads: int = 1,
     snapshot_indices=None,
+    *,
+    series: bool = True,
 ) -> EnsembleSummary:
     """Run N independent trajectories and reduce scheduling-invariant summaries.
 
@@ -396,6 +477,11 @@ def run_ensemble(
     base_seed, rho0, snapshot_indices) for any thread count.
     snapshot_indices, the grid steps whose mean state is kept, must be
     strictly increasing integers in [0, n_steps].
+
+    series=False runs a terminals pass: the summary has the same terminals,
+    bit for bit, but empty series_mean and series_sem and no snapshots
+    (snapshot_indices must then be None or empty). It skips fx, purity, the
+    per-step sums and the snapshot states, which the terminals never read.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -404,7 +490,7 @@ def run_ensemble(
     n = params.n_steps
     dim = params.space.dim
     if snapshot_indices is None:
-        snapshot_indices = default_snapshot_indices(n)
+        snapshot_indices = default_snapshot_indices(n) if series else []
     snapshot_indices = np.asarray(snapshot_indices)
     if snapshot_indices.ndim != 1 or (snapshot_indices.size and not (
         np.issubdtype(snapshot_indices.dtype, np.integer)
@@ -413,10 +499,12 @@ def run_ensemble(
         and np.all(np.diff(snapshot_indices) > 0)
     )):
         raise ValueError(f"snapshot_indices must be strictly increasing integers in [0, {n}]")
+    if snapshot_indices.size and not series:
+        raise ValueError("a terminals pass (series=False) keeps no snapshots")
     snapshot_indices = snapshot_indices.astype(int)
 
     def run_batch(indices):
-        col = _Collector(scheme, n, len(indices), dim, snapshot_indices)
+        col = _Collector(scheme, n, len(indices), dim, snapshot_indices, series=series)
         _simulate_block(scheme, params, base_seed, indices, rho0, col)
         return col
 
@@ -427,28 +515,28 @@ def run_ensemble(
     else:
         cols = [run_batch(batches[0])]
 
-    names = cols[0].summed
-    sums = np.zeros(cols[0].sums.shape[:-1])   # (n + 1, 2, series): sums, sums of squares
-    rho_sum = np.zeros((len(snapshot_indices), dim, dim), dtype=complex)
-    rho_abs2 = np.zeros((len(snapshot_indices), dim, dim))
-    for col in cols:
-        for s in range(len(col.slices)):
-            sums += col.sums[..., s]
-            rho_sum += col.rho_sum[:, s]
-            rho_abs2 += col.rho_abs2_sum[:, s]
     # the terminals: the last step's cumulative processes and loglik
     ends = np.concatenate([col.values for col in cols], axis=1)
     terminals = dict(zip(cols[0].names[4:-1], ends[4:-1]))
     if scheme == "polarimetry":
         _count_outputs(terminals, params.alpha)
 
-    series_mean = {name: sums[:, 0, j] / N for j, name in enumerate(names)}
-    series_sem = {}
-    for j, name in enumerate(names):
-        var = np.maximum(sums[:, 1, j] / N - series_mean[name] ** 2, 0.0)
-        series_sem[name] = np.sqrt(var / N)
+    series_mean, series_sem = {}, {}
+    mean_rho = np.zeros((len(snapshot_indices), dim, dim), dtype=complex)
+    rho_abs2 = np.zeros((len(snapshot_indices), dim, dim))
+    if series:
+        sums = np.zeros(cols[0].sums.shape[:-1])   # (n + 1, 2, series): sums, sums of squares
+        for col in cols:
+            for s in range(len(col.slices)):
+                sums += col.sums[..., s]
+                mean_rho += col.rho_sum[:, s]
+                rho_abs2 += col.rho_abs2_sum[:, s]
+        for j, name in enumerate(cols[0].summed):
+            series_mean[name] = sums[:, 0, j] / N
+            var = np.maximum(sums[:, 1, j] / N - series_mean[name] ** 2, 0.0)
+            series_sem[name] = np.sqrt(var / N)
+        mean_rho /= N
 
-    mean_rho = rho_sum / N
     ent_var = np.maximum(rho_abs2 / N - np.abs(mean_rho) ** 2, 0.0)
     sem_rho_frob = np.sqrt(ent_var.sum(axis=(1, 2)) / N)
 

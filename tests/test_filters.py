@@ -404,26 +404,32 @@ def test_pol_jump_raw_codes_match_channel_masks():
 
 
 @pytest.mark.parametrize("scheme", ["polarimetry", "homodyne"])
-@pytest.mark.parametrize("j", [0.5, 2.0])
+@pytest.mark.parametrize("j", [0.5, 2.0, 5.0])
 def test_alpha_schedule_level_path_matches_matrix_step(scheme, j):
     # a drive switch at t = 0.1: the B = 0 replay (level weights, one LevelSchur per drive)
-    # follows the matrix step across it
-    p = params_for(j=j, alpha=2.0, kappa=0.3, dt=1e-3, T=0.2, alpha_schedule=((0.0, 2.0), (0.1, 4.0)))
-    assert set(build_kernels(p).C_levels) == {2.0, 4.0}
+    # follows the matrix step across it; polarimetry also at a constant drive with
+    # many counts, where only the states that count take a step
+    cases = [params_for(j=j, alpha=2.0, kappa=0.3, dt=1e-3, T=0.2, alpha_schedule=((0.0, 2.0), (0.1, 4.0)))]
+    assert set(build_kernels(cases[0]).C_levels) == {2.0, 4.0}
+    if scheme == "polarimetry":
+        cases.append(params_for(j=j, alpha=9.0, kappa=0.3, dt=1e-3, T=0.2))
     sim = traj.simulate_polarimetry if scheme == "polarimetry" else traj.simulate_homodyne
-    rec = sim(p, seed=19)
-    obs = rec.events if scheme == "polarimetry" else rec.dy
-    run = run_filter(scheme, "linear", p, obs, keep_states=True)
-    st = FilterState.initial(scheme, "linear", p)
-    for k, ob in enumerate(obs):
-        if scheme == "polarimetry":
-            inc = ObservationIncrement(p.dt, event=(None, "xi", "eta")[ob])
-        else:
-            inc = ObservationIncrement.diffusive(ob, p.dt)
-        st = step(st, inc, p)
-        assert np.max(np.abs(st.rho - run.states[k + 1])) < 1e-12, (k, st.t)
-        assert st.loglik == pytest.approx(run.loglik[k + 1], abs=1e-12)
-    assert st.t == pytest.approx(p.T)
+    for p in cases:
+        rec = sim(p, seed=19)
+        obs = rec.events if scheme == "polarimetry" else rec.dy
+        if p.alpha_schedule is None:
+            assert np.count_nonzero(obs) >= 8
+        run = run_filter(scheme, "linear", p, obs, keep_states=True)
+        st = FilterState.initial(scheme, "linear", p)
+        for k, ob in enumerate(obs):
+            if scheme == "polarimetry":
+                inc = ObservationIncrement(p.dt, event=(None, "xi", "eta")[ob])
+            else:
+                inc = ObservationIncrement.diffusive(ob, p.dt)
+            st = step(st, inc, p)
+            assert np.max(np.abs(st.rho - run.states[k + 1])) < 1e-12, (k, st.t)
+            assert st.loglik == pytest.approx(run.loglik[k + 1], abs=1e-12)
+        assert st.t == pytest.approx(p.T)
 
 
 def test_kernels_built_once_and_read_only():

@@ -155,6 +155,58 @@ def test_thread_count_invariance(scheme, monkeypatch):
                 assert np.array_equal(runs[0].terminals[name], other.terminals[name])
 
 
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
+def test_terminals_pass_equals_full_pass(scheme, monkeypatch):
+    # series=False skips fx, purity, the per-step sums and the snapshots but
+    # leaves every terminal the same bits, on the level path (B = 0, J = 1/2,
+    # 2 and 5) and on the matrix path (B = 0.5), in one batch or three
+    monkeypatch.setattr(traj, "BLOCK", 64)
+    for j, B in ((0.5, 0.0), (2.0, 0.0), (5.0, 0.0), (2.0, 0.5)):
+        p = params_for(j=j, alpha=4.0, kappa=0.25, B=B, T=0.05)
+        full = traj.run_ensemble(p, scheme, 150, base_seed=53)
+        if scheme == "polarimetry":
+            assert np.count_nonzero(full.terminals["counts_xi"]) > 10
+        for threads in (1, 3):
+            s = traj.run_ensemble(p, scheme, 150, base_seed=53, threads=threads, series=False)
+            assert s.series_mean == {} and s.series_sem == {}
+            assert s.snapshot_indices.size == 0 and s.mean_rho.shape == (0, p.space.dim, p.space.dim)
+            assert s.sem_rho_frob.shape == (0,)
+            assert s.terminals.keys() == full.terminals.keys()
+            for name, values in full.terminals.items():
+                got = s.terminals[name]
+                assert got.dtype == values.dtype and np.array_equal(got, values), (j, B, threads, name)
+    with pytest.raises(ValueError):
+        traj.run_ensemble(p, scheme, 3, base_seed=1, snapshot_indices=[0, 5], series=False)
+
+
+@pytest.mark.parametrize("j", [0.5, 5.0])
+def test_no_count_step_leaves_state_unchanged(j):
+    # at B = 0 a polarimetry step without a count leaves the filter state, its
+    # moments and loglik unchanged bit for bit (no renormalization by traces
+    # of 1 +- ulp); only the steps that count move them
+    from spinprobe.filters import run_filter
+
+    p = params_for(j=j, alpha=9.0, kappa=0.3, T=0.5)   # alpha^2 dt = 0.081: about 40 counts
+    rec = traj.simulate_polarimetry(p, seed=61)
+    lin = run_filter("polarimetry", "linear", p, rec.events)
+    quiet = rec.events == 0
+    assert np.count_nonzero(~quiet) >= 20
+    for run in (rec, lin):
+        for name in ("fx", "fz", "var_z", "purity", "loglik"):
+            series = getattr(run, name)
+            assert np.array_equal(series[1:][quiet], series[:-1][quiet]), name
+        assert np.mean(run.loglik[1:][~quiet] != run.loglik[:-1][~quiet]) > 0.5   # the counts do move it
+
+
+def test_trajectory_rng_is_philox_keyed_by_seed_and_index():
+    for key in ((0, 0), (2**64 - 1, 5), (7, 2**40)):
+        got = traj.trajectory_rng(*key)
+        want = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        assert isinstance(got, np.random.Generator)
+        assert np.array_equal(got.random(300), want.random(300))
+        assert np.array_equal(got.standard_normal(300), want.standard_normal(300))
+
+
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
 def test_thread_pool_capped_at_cpu_count(monkeypatch, cpus, workers):
     # threads = 10**6 asks for one batch per slice (20 here); the pool gets at
