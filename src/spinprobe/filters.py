@@ -68,7 +68,8 @@ homodyne drift and the two count rates, and the last d rows give purity
 as the symmetric sum over level pairs i <= j. fx is a level sum over the
 sub-diagonal. How a level sum runs depends on d alone (LEVEL_LOOP_MAX):
 with few levels, as a fixed-order loop over the levels, one ufunc call per
-level on batch-long vectors; with more, as one matrix-vector product per
+level on batch-long vectors, and then W holds only the rows that the run
+reads (:class:`_SharedFactor`); with more, as one matrix-vector product per
 state, for which g is kept with each state's levels contiguous in memory.
 Either way each sum runs over one state's own terms in an order fixed by
 d, so a state's results have the same bits in a batch of any width.
@@ -82,14 +83,14 @@ spin space: exp(-i theta F_y) = V exp(-i theta Lambda) V^dagger.
 :func:`step` advances one :class:`FilterState` by one observation; every
 run along the time grid goes through the one propagation loop of
 :mod:`spinprobe.trajectory`, which co-simulates batches and also replays a
-given record for :func:`run_filter` (as a batch of one). Both apply
+given record, or a batch of them, for :func:`run_filter`. Both apply
 :func:`increment` and :func:`finish_step`, with the kernels of
 :func:`build_kernels`, built once per parameter set.
 
 A counting step applies at most one recorded count; the one-jump error per
 step is O((alpha^2 dt)^2), and :func:`check_jump_bound` enforces
 alpha^2 dt <= 0.1. All update functions are pure: they return fresh states.
-Only the propagation loop writes in place, into its own batch, with
+Only the propagation loop writes in place, into its own batches, with
 :meth:`LevelState.put`.
 """
 
@@ -101,7 +102,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .spin_algebra import DensityState, make_spin_ops, coherent_x_state, EPS_POS
-from .generators import GRID_TOL, ModelParams
+from .generators import ModelParams
 
 SCHEMES = ("polarimetry", "homodyne", "limit")
 MODES = ("normalized", "linear")
@@ -111,6 +112,11 @@ JUMP_BOUND = 0.1
 # The rows of FilterKernels.level_rows: what one fused level sum per step
 # weighs the diagonal with (row 0 gives the trace).
 LEVEL_ROWS = ("1", "F_z", "F_z^2", "sin(kappa F_z)", "L_xi^2", "L_eta^2")
+
+# The LEVEL_ROWS that each scheme's prediction reads (the count rates, the
+# homodyne drift, F_z), and the ones that a full pass's moments add.
+PREDICTION_ROWS = {"polarimetry": (4, 5), "homodyne": (3,), "limit": (1,)}
+MOMENT_ROWS = (1, 2)
 
 # A recorded count whose predicted probability is below this (relative to the
 # pre-jump trace) is numerically impossible and flags an inconsistent record.
@@ -191,7 +197,7 @@ class LevelSchur(NamedTuple):
     a_s: np.ndarray         # a s
     b: np.ndarray           # a^2 dt s^2
     C_hat: np.ndarray       # exp(-a^2 dt (c_i - c_j)^2 / 2)
-    sums_factor: np.ndarray # the factor of the fused-sum weights: 1 on the level rows, C_hat^2 on |D|^2's
+    sums_factor: np.ndarray # the factor of the fused-sum weights: 1 on the level rows, C_hat^2 on |D|^2's (last d rows)
     C_hat_sub: np.ndarray   # sub-diagonal of C_hat, for fx
 
 
@@ -442,35 +448,50 @@ def _level_dot(x, y, d):
 class _SharedFactor(NamedTuple):
     """The (d, d) factor D of a LevelState batch, with what its step sums read of it.
 
+    W holds the trace row and then the LEVEL_ROWS in ``rows``; the means of
+    the batch follow that order. With at most LEVEL_LOOP_MAX levels a level
+    sum is one elementwise loop per row, so W keeps only the rows the run
+    reads: the scheme's PREDICTION_ROWS, plus MOMENT_ROWS (F_z and F_z^2,
+    always first) and the U rows of purity in a full pass. Each sum over more
+    levels is one BLAS product per state, whose kernel takes the weight rows
+    in groups (of four, with OpenBLAS), so a row's bits depend on how many
+    rows the product has; there W keeps every row, the U rows included, and
+    every trace and mean keeps the bits of the full sum.
+
     Built without moments (for a pass that reads only traces and means), it
     keeps no D and no fx_w and holds still: C_hat is 1 on the level rows, the
-    only rows such a pass reads. Each sum over more than LEVEL_LOOP_MAX levels
-    is one BLAS product per state, whose kernel takes the weight rows in
-    groups (of four, with OpenBLAS), so a row's bits depend on how many rows
-    the product has; there the unread U rows stay in W, and every trace and
-    mean keeps the bits of the full sum.
+    only rows such a pass reads.
     """
 
     D: np.ndarray
     p0: np.ndarray      # diag(D), real: rho0's diagonal
-    W: np.ndarray       # weights of the fused level sum: p0 o kern.level_rows, then U (below)
+    W: np.ndarray       # weights of the fused level sum: p0 o kern.level_rows[(0,) + rows], then U (below)
     fx_w: np.ndarray    # 2 F_x[i+1, i] Re D[i+1, i]
+    rows: tuple         # the LEVEL_ROWS after the trace row that W sums, in order
 
     @classmethod
-    def of(cls, D, kern: FilterKernels, moments=True):
+    def of(cls, D, kern: FilterKernels, scheme, moments=True):
         p0 = D.diagonal().real.copy()
-        abs2 = D.real**2 + D.imag**2
-        U = 2.0 * np.triu(abs2, 1) + np.diag(p0**2)   # |D|^2 over i <= j, off-diagonal doubled
-        W = np.vstack([p0 * kern.level_rows, U])
+        every = kern.dim > LEVEL_LOOP_MAX
+        if every:
+            rows = tuple(range(1, len(LEVEL_ROWS)))
+        else:
+            rows = tuple(sorted(set(PREDICTION_ROWS[scheme]) | set(MOMENT_ROWS if moments else ())))
+        W = p0 * kern.level_rows[[0, *rows]]
+        if moments or every:
+            abs2 = D.real**2 + D.imag**2
+            U = 2.0 * np.triu(abs2, 1) + np.diag(p0**2)   # |D|^2 over i <= j, off-diagonal doubled
+            W = np.vstack([W, U])
         if not moments:
-            return cls(None, p0, W if kern.dim > LEVEL_LOOP_MAX else W[: len(LEVEL_ROWS)], None)
-        return cls(D, p0, W, 2.0 * kern.F_x_sub * np.diagonal(D, -1).real)
+            return cls(None, p0, W, None, rows)
+        return cls(D, p0, W, 2.0 * kern.F_x_sub * np.diagonal(D, -1).real, rows)
 
     def times(self, sc: LevelSchur):
         """The factor D o C_hat."""
         if self.D is None:   # built without moments: nothing read moves
             return self
-        return _SharedFactor(self.D * sc.C_hat, self.p0, self.W * sc.sums_factor, self.fx_w * sc.C_hat_sub)
+        W = self.W * sc.sums_factor[len(sc.sums_factor) - len(self.W) :]
+        return _SharedFactor(self.D * sc.C_hat, self.p0, W, self.fx_w * sc.C_hat_sub, self.rows)
 
 
 class LevelState:
@@ -486,17 +507,20 @@ class LevelState:
     weight 0, since no record can lift them.
 
     A normalized state (from :func:`finish_step`) carries its moments:
-    ``means``, the (5, batch) rows pi(F_z), pi(F_z^2), pi(sin kappa F_z),
-    pi(L_xi^2) and pi(L_eta^2), and ``fx`` and ``purity``. A raw step output
-    carries None. A batch built with ``moments=False`` carries only the
-    means (fx and purity stay None) and has no matrix form; its traces and
-    means have the same bits as with moments.
+    ``means``, pi of the LEVEL_ROWS in ``shared.rows`` (see
+    :class:`_SharedFactor`: every row but the trace with more than
+    LEVEL_LOOP_MAX levels, else only the rows the run reads, F_z and F_z^2
+    first in a full pass), one row per state, and ``fx`` and ``purity``. A
+    raw step output carries None. A batch built with ``moments=False``
+    carries only the means (fx and purity stay None) and has no matrix form;
+    its traces and means have the same bits as with moments.
 
     The steps are pure, but the one propagation loop updates its own batch
     in place where a counting step (B = 0) moves only the states that
     counted: :meth:`take` hands those rows out as a batch, and :meth:`put`
-    writes their normalized step back, moments included. The other rows keep
-    their weights and moments bit for bit.
+    writes their normalized step back, moments included, into the batch or
+    into a :meth:`blank` store of post-count rows. The other rows keep their
+    weights and moments bit for bit.
     """
 
     __slots__ = ("g", "shared", "means", "fx", "purity")
@@ -509,8 +533,8 @@ class LevelState:
         self.purity = purity
 
     @classmethod
-    def initial(cls, rho0, batch, kern: FilterKernels, moments=True):
-        shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern, moments)
+    def initial(cls, rho0, batch, kern: FilterKernels, scheme, moments=True):
+        shared = _SharedFactor.of(0.5 * (rho0 + _dagger(rho0)), kern, scheme, moments)
         g = np.broadcast_to((shared.p0 > 0.0).astype(float)[:, None], (kern.dim, batch)).copy()
         return cls(g, shared)._normalized()[0]
 
@@ -532,13 +556,23 @@ class LevelState:
         """The states at the integer indices rows, as a new batch without moments (a raw step input)."""
         return LevelState(self.g[:, rows], self.shared)
 
-    def put(self, rows, new):
-        """Overwrite the states at rows, and their moments, with the normalized batch new, in place."""
-        self.g[:, rows] = new.g
-        self.means[:, rows] = new.means
+    def put(self, rows, new, cols=slice(None)):
+        """Overwrite the states at rows, and their moments, with the columns cols of the normalized batch new."""
+        self.g[:, rows] = new.g[:, cols]
+        self.means[:, rows] = new.means[:, cols]
         if self.fx is not None:
-            self.fx[rows] = new.fx
-            self.purity[rows] = new.purity
+            self.fx[rows] = new.fx[cols]
+            self.purity[rows] = new.purity[cols]
+
+    def copy(self):
+        """An independent copy of this normalized batch, with its weights in the same memory layout."""
+        fx, purity = (None, None) if self.fx is None else (self.fx.copy(), self.purity.copy())
+        return LevelState(self.g.copy(order="K"), self.shared, self.means.copy(), fx, purity)
+
+    def blank(self, k):
+        """k states with unset weights and moments, shaped like this normalized batch, to put rows into."""
+        fx, purity = (None, None) if self.fx is None else (np.empty(k), np.empty(k))
+        return LevelState(np.empty((len(self.g), k)), self.shared, np.empty((len(self.means), k)), fx, purity)
 
     def _normalized(self):
         """(This batch at unit trace with its moments, the traces).
@@ -558,7 +592,7 @@ class LevelState:
         tr = _checked_trace(sums[0])
         inv = 1.0 / tr
         g = g * np.sqrt(inv)
-        n = len(LEVEL_ROWS)
+        n = 1 + len(sh.rows)
         if sh.fx_w is None:
             return LevelState(g, sh, sums[1:n] * inv), tr
         fx = _level_sums(sh.fx_w[None], g[1:] * g[:-1], d)[0]
@@ -618,17 +652,12 @@ def check_jump_bound(scheme, params: ModelParams, times):
     """Reject counting steps starting at times whose alpha(t)^2 dt exceeds JUMP_BOUND.
 
     Whole runs pass their step grid, params.time_grid()[:-1]. The diffusive
-    schemes have no jump-step bound and always pass. A schedule entry counts
-    if it is in force at one of the times by the rule of ModelParams.alpha_of:
-    the last entry starting at or before t + GRID_TOL.
+    schemes have no jump-step bound and always pass. The drive at each time
+    is ModelParams.alphas's, by the rule of ModelParams.alpha_of.
     """
     if scheme != "polarimetry":
         return
-    a = params.alpha
-    if params.alpha_schedule is not None:
-        starts, amps = np.array(params.alpha_schedule).T
-        k = np.searchsorted(starts, np.asarray(times, dtype=float) + GRID_TOL, side="right")
-        a = float(amps[np.maximum(k - 1, 0)].max())
+    a = float(params.alphas(times).max())
     a2dt = a**2 * params.dt
     if a2dt > JUMP_BOUND:
         raise ValueError(f"alpha^2 dt = {a2dt:.4g} exceeds the one-jump bound {JUMP_BOUND}; reduce dt")
@@ -644,12 +673,13 @@ def _check_counts(p, obs, kern: FilterKernels):
         raise ValueError(f"recorded {channel}-count has zero probability; record is inconsistent with the model")
 
 
-def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
+def increment(scheme, rho, obs, a_t, kern: FilterKernels):
     """Unnormalized step of the scheme's linear filter over [t, t + dt] (see the module notes).
 
     rho is one state (d, d), a batch (b, d, d) or, for B = 0, a LevelState;
     obs holds the matching event code(s) (0 none, 1 xi, 2 eta) for
-    polarimetry, or the dy value(s) for the diffusive schemes. A matrix
+    polarimetry, or the dy value(s) for the diffusive schemes. a_t is the
+    drive alpha(t) at the step start, which only homodyne reads. A matrix
     takes the step with the field rotations; a LevelState takes the same
     diagonal factor on its weights. A counting step applies the no-count
     evolution first, then at most one count per state; a count with
@@ -657,11 +687,10 @@ def increment(scheme, rho, obs, t, params: ModelParams, kern: FilterKernels):
     """
     levels = isinstance(rho, LevelState)
     if scheme != "polarimetry":
-        a = params.alpha_of(t) if scheme == "homodyne" else None
         if levels:
-            return rho.scaled(*_step_factors(scheme, kern, obs, a))
+            return rho.scaled(*_step_factors(scheme, kern, obs, a_t))
         if scheme == "homodyne":
-            return homodyne_raw(rho, kern, obs, a)
+            return homodyne_raw(rho, kern, obs, a_t)
         return limit_raw(rho, kern, obs)
     raw = rho if levels else pol_drift_raw(rho, kern)   # the drift is the identity for B = 0
     obs = np.asarray(obs)
@@ -693,7 +722,7 @@ def step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> 
         raise ValueError("diffusive step needs an observation with dy")
     check_jump_bound(state.scheme, params, [state.t])
     code = {None: 0, "xi": 1, "eta": 2}[obs.event] if counting else obs.dy
-    rho, tr = finish_step(increment(state.scheme, state.rho, code, state.t, params, build_kernels(params)))
+    rho, tr = finish_step(increment(state.scheme, state.rho, code, params.alpha_of(state.t), build_kernels(params)))
     loglik = state.loglik + float(np.log(tr)) if state.mode == "linear" else 0.0
     return replace(state, rho=rho, t=state.t + obs.dt, loglik=loglik)
 
@@ -704,7 +733,7 @@ def step(state: FilterState, obs: ObservationIncrement, params: ModelParams) -> 
 
 @dataclass
 class FilterRun:
-    """Filtered summaries along one observation record."""
+    """Filtered summaries along one observation record, or along each of a batch of them (a leading axis)."""
 
     t: np.ndarray
     fx: np.ndarray
@@ -717,15 +746,18 @@ class FilterRun:
 
 
 def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_states=False) -> FilterRun:
-    """Replay a recorded observation sequence through one filter.
+    """Replay recorded observation sequences through one filter.
 
     observations: int array of events per step for polarimetry
     (0 none, 1 xi, 2 eta), or float array of dy increments for the
-    diffusive schemes. The record is replayed as a batch of one through the
+    diffusive schemes; one record of n steps, or a (batch, n) array of
+    records. The records are replayed as one batch through the
     co-simulation loop, :func:`spinprobe.trajectory._simulate_block`, into
     the collector that co-simulated records use, and the moments, loglik and
     states are read from its rows: a linear replay with states of a
-    co-simulated record equals that record bit for bit.
+    co-simulated record equals that record bit for bit, in a batch of any
+    width. A (batch, n) record gives arrays with a leading batch axis (t
+    stays the one time grid); a single record gives one row.
     """
     from .trajectory import _Collector, _simulate_block   # trajectory imports this module
 
@@ -733,16 +765,19 @@ def run_filter(scheme, mode, params: ModelParams, observations, rho0=None, keep_
         raise ValueError(f"unknown mode {mode!r}")
     n = params.n_steps
     observations = np.asarray(observations)
-    if observations.shape != (n,):
-        raise ValueError(f"expected {n} observation increments, got shape {observations.shape}")
+    if observations.ndim not in (1, 2) or observations.shape[-1] != n:
+        raise ValueError(f"expected {n} observation increments per record, got shape {observations.shape}")
     if scheme == "polarimetry" and not np.isin(observations, (0, 1, 2)).all():
         raise ValueError("polarimetry observations must be event codes 0, 1 or 2")
     if scheme != "polarimetry" and not np.all(np.isfinite(observations)):
         raise ValueError("diffusive observations dy must be finite")
-    col = _Collector(scheme, n, 1, params.space.dim, keep_states=keep_states)
-    _simulate_block(scheme, params, None, [0], rho0, col, observations[None])
-    loglik = col.loglik[0] if mode == "linear" else np.zeros(n + 1)
+    records = observations.reshape(-1, n)
+    batch = len(records)
+    col = _Collector(scheme, n, batch, params.space.dim, keep_states=keep_states)
+    _simulate_block(scheme, params, None, range(batch), rho0, col, records)
+    loglik = col.loglik if mode == "linear" else np.zeros((batch, n + 1))
+    rows = slice(None) if observations.ndim == 2 else 0
     return FilterRun(
-        params.time_grid(), col.fx[0], col.fz[0], col.fz2[0], col.var_z[0], col.purity[0], loglik,
-        None if col.states is None else col.states[0],
+        params.time_grid(), col.fx[rows], col.fz[rows], col.fz2[rows], col.var_z[rows], col.purity[rows],
+        loglik[rows], None if col.states is None else col.states[rows],
     )

@@ -101,6 +101,7 @@ class ModelParams:
         return self.alpha**2 * self.kappa**2
 
     def alpha_of(self, t: float) -> float:
+        """The drive amplitude at t: the last schedule entry starting at or before t + GRID_TOL."""
         if self.alpha_schedule is None:
             return self.alpha
         a = self.alpha_schedule[0][1]
@@ -110,6 +111,15 @@ class ModelParams:
             else:
                 break
         return a
+
+    def alphas(self, times) -> np.ndarray:
+        """alpha_of at each of the times, resolved with one searchsorted over the schedule."""
+        times = np.asarray(times, dtype=float)
+        if self.alpha_schedule is None:
+            return np.full(times.shape, self.alpha)
+        starts, amps = np.array(self.alpha_schedule).T
+        k = np.searchsorted(starts, times + GRID_TOL, side="right")
+        return amps[np.maximum(k - 1, 0)]
 
     def drive(self, t: float) -> complex:
         """Drive value f(t) = alpha(t) exp(i phi)."""

@@ -30,8 +30,8 @@ them from a given record, and hands every step to the one collector,
 the innovations, the counts or the integrated record y, and loglik. A
 record keeps every step of those series, an ensemble adds them up per
 slice and keeps the last step as its terminals, and
-:func:`spinprobe.filters.run_filter` replays a record as a batch of one
-into a collector that keeps every step, reading the moments, loglik and
+:func:`spinprobe.filters.run_filter` replays records as one batch into a
+collector that keeps every step, reading the moments, loglik and
 states from the same rows as a record. Without a field (B = 0) the loop
 carries the batch as a :class:`spinprobe.filters.LevelState` (d real
 weights per trajectory and one shared d x d factor) and reads each step's
@@ -42,13 +42,21 @@ field it carries the (batch, d, d) matrices, takes the matrix step, which
 is the reference for the level representation, and reads the same means
 from one level sum over the diagonals.
 
-A counting step without a field is event-driven. The no-count drift is the
-identity (L_xi^2 + L_eta^2 = 2) and the count probability per step does
-not depend on the state, so only the rows that counted take
-:func:`spinprobe.filters.increment` and ``finish_step``, as one batch, and
-the loop writes them back into its own LevelState in place; every other row
-keeps its weights, moments and loglik bit for bit. The collector still
-writes every row at every step, in the same reduction order.
+A counting run without a field goes chunk by chunk, CHUNK steps at a
+time, in two phases. The no-count drift is the identity (L_xi^2 + L_eta^2
+= 2) and the total count probability alpha(t)^2 dt does not depend on the
+state, so only the steps whose uniform lies below it (with a margin for
+rounding, COUNT_SCREEN_TOL) can count. Phase (a) decides those candidates
+for each row in step order, in batched rounds, with the per-step decision
+rule and the pre-count means, and steps the rows that counted through
+:func:`spinprobe.filters.increment` and ``finish_step``; it stores each
+row's values after each count. Phase (b) then steps the collector through
+the chunk's grid steps from the chunk start, writing each count's stored
+values into its row at its step; every other row keeps its weights,
+moments and loglik bit for bit. The collector still writes every row at
+every step, in the same reduction order, so the outputs are the bits of a
+per-step loop at any CHUNK. A replay takes the same two phases, with the
+record's counts as the candidates.
 
 ``run_ensemble(..., series=False)`` is a terminals pass, for outputs that
 read only each trajectory's last cumulative values (the ``charfunc``
@@ -57,7 +65,9 @@ and its states carry no fx or purity: a LevelState is built without them
 once, at the start, and the matrix path simply does not compute them. Each
 step still takes the trace and the means that the prediction reads, with
 the same bits as a full pass, so the terminals are the same; the per-step
-sums and the snapshot states are skipped.
+sums and the snapshot states are skipped. With few levels the fused level
+sum then computes only the prediction's rows (see
+:class:`spinprobe.filters._SharedFactor`).
 """
 
 import os
@@ -292,10 +302,15 @@ class _Noise:
         """The (batch,) draws of step i; steps must be read in order from 0."""
         j = i % CHUNK
         if j == 0:
-            width = min(CHUNK, self._n - i)
-            for draw, row in zip(self._draws, self._buf):
-                draw(out=row[:width])
+            self.chunk(i)
         return self._buf[:, j]
+
+    def chunk(self, i):
+        """The (batch, width) draws of the chunk of steps from i; chunks must be read in order from 0."""
+        width = min(CHUNK, self._n - i)
+        for draw, row in zip(self._draws, self._buf):
+            draw(out=row[:width])
+        return self._buf[:, :width]
 
 
 def _matrix(rho):
@@ -304,10 +319,11 @@ def _matrix(rho):
 
 
 def _means(rho, kern):
-    """The (5, batch) means pi(F_z), pi(F_z^2), pi(sin kappa F_z), pi(L_xi^2) and pi(L_eta^2) of unit-trace states.
+    """The means of a batch of unit-trace states, one row per LEVEL_ROWS entry after the trace.
 
-    A LevelState carries them from its fused step sum; for matrices they are
-    one level sum over the diagonals.
+    A LevelState carries them from its fused step sum, for the rows in
+    rho.shared.rows; for matrices they are one level sum over the
+    diagonals, of every row.
     """
     if isinstance(rho, filters.LevelState):
         return rho.means
@@ -322,8 +338,26 @@ def _moments(rho, means, kern):
         fx = 2.0 * np.vecdot(np.diagonal(rho, -1, -2, -1).real, kern.F_x_sub)
         flat = rho.reshape(len(rho), -1)
         purity = np.vecdot(flat, flat).real
-    fz, fz2 = means[0], means[1]
+    fz, fz2 = means[0], means[1]   # a full pass's means lead with F_z and F_z^2 (filters.MOMENT_ROWS)
     return fx, fz, fz2, fz2 - fz**2, purity
+
+
+def _per_drive(alphas, f):
+    """[f(a) for a in alphas] as floats, with f evaluated once per distinct drive a."""
+    amps, which = np.unique(alphas, return_inverse=True)
+    return np.array([f(a) for a in amps.tolist()])[which].tolist()
+
+
+def _counts_of(u, q_xi, q_eta):
+    """The event codes drawn by the uniforms u: xi if u < q_xi, else eta if u < q_xi + q_eta, else none."""
+    return 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
+
+
+# A B = 0 count needs u < q_xi + q_eta = alpha(t)^2 dt (pi(L_xi^2) + pi(L_eta^2)) / 2, and
+# pi(L_xi^2) + pi(L_eta^2) = 2 up to rounding: L_xi^2 + L_eta^2 = 2, and every term of the two
+# level sums is nonnegative, so they are off by a few ulp per level. The steps with
+# u < alpha(t)^2 dt (1 + COUNT_SCREEN_TOL) therefore hold every count.
+COUNT_SCREEN_TOL = 1e-9
 
 
 def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observations=None):
@@ -336,58 +370,128 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     (batch, n) array of event codes or dy values, the record is replayed
     instead, base_seed is not used and the prediction handed on is None.
     rho0 None starts from the x-polarized coherent state; a counting run
-    whose alpha^2 dt exceeds the one-jump bound raises ValueError.
+    whose alpha^2 dt exceeds the one-jump bound raises ValueError. The
+    drive of every step is resolved once, by ModelParams.alphas.
 
-    A counting step without a field leaves every state that did not count
-    unchanged (the no-count drift is the identity), so only the rows that
-    counted take the step, and the batch is updated in place there.
+    A counting run without a field goes chunk by chunk (_count_by_chunk);
+    every other run steps the whole batch once per grid step.
     """
-    filters.check_jump_bound(scheme, params, params.time_grid()[:-1])
+    grid = params.time_grid()[:-1]
+    filters.check_jump_bound(scheme, params, grid)
     rho0 = filters.FilterState.initial(scheme, "normalized", params, rho0).rho
     kern = build_kernels(params)
-    n = params.n_steps
     dt = params.dt
     batch = len(indices)
     if kern.U is None:   # B = 0: d level weights per trajectory
-        rho = filters.LevelState.initial(rho0, batch, kern, collector.moments)
+        rho = filters.LevelState.initial(rho0, batch, kern, scheme, collector.moments)
+        rows = rho.shared.rows   # the LEVEL_ROWS of the means, in order
     else:
         rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
-    counts_only = scheme == "polarimetry" and kern.U is None
+        rows = tuple(range(1, len(filters.LEVEL_ROWS)))
+    alphas = params.alphas(grid)
+    gain = _per_drive(alphas, {   # each step's prediction over its means, as the scalar expressions give it
+        "polarimetry": lambda a: 0.5 * a**2 * dt,   # the count probabilities
+        "homodyne": lambda a: 2.0 * a * dt,   # the drift times dt
+        "limit": lambda a: 2.0 * kern.sqrt_M * dt,
+    }[scheme])
+    pred_rows = filters.PREDICTION_ROWS[scheme]
+    at = rows.index(pred_rows[0])
+    read = at if len(pred_rows) == 1 else slice(at, at + len(pred_rows))   # the prediction's rows of the means
 
-    noise = None if observations is not None else _Noise(scheme, base_seed, indices, n)
+    noise = None if observations is not None else _Noise(scheme, base_seed, indices, len(grid))
 
     loglik = np.zeros(batch)
     means = _means(rho, kern)
     collector.start(kern, rho, means, loglik)
+    if scheme == "polarimetry" and kern.U is None:
+        _count_by_chunk(rho, loglik, collector, gain, read, kern, noise, observations)
+        return collector
 
     sqdt = np.sqrt(dt)
-    for i in range(n):
-        t = i * dt
+    for i, a in enumerate(alphas.tolist()):
         if noise is None:   # a replay reads the record and needs no prediction
             obs, pred = observations[:, i], None
         elif scheme == "polarimetry":
-            half_a2dt = 0.5 * params.drive_power(t) * dt
-            pred = q_xi, q_eta = half_a2dt * means[3:5]   # predicted count probabilities
-            u = noise(i)   # xi if u < q_xi, else eta if u < q_xi + q_eta
-            obs = 2 * (u < q_xi + q_eta).view(np.int8) - (u < q_xi)
+            pred = q_xi, q_eta = gain[i] * means[read]   # predicted count probabilities
+            obs = _counts_of(noise(i), q_xi, q_eta)
         else:
-            if scheme == "homodyne":
-                pred = 2.0 * params.alpha_of(t) * dt * means[2]
-            else:
-                pred = 2.0 * kern.sqrt_M * dt * means[0]
+            pred = gain[i] * means[read]
             obs = pred + sqdt * noise(i)
-        if counts_only:   # means is rho.means, so put() updates it too
-            rows = np.flatnonzero(obs)
-            if rows.size:
-                new, tr = finish_step(filters.increment(scheme, rho.take(rows), obs[rows], t, params, kern))
-                rho.put(rows, new)
-                loglik[rows] += np.log(tr)
-        else:
-            rho, tr = finish_step(filters.increment(scheme, rho, obs, t, params, kern))
-            loglik = loglik + np.log(tr)
-            means = _means(rho, kern)
+        rho, tr = finish_step(filters.increment(scheme, rho, obs, a, kern))
+        loglik = loglik + np.log(tr)
+        means = _means(rho, kern)
         collector.step(i, obs, pred, rho, means, loglik)
     return collector
+
+
+def _count_by_chunk(rho, loglik, collector, gain, read, kern, noise, observations):
+    """Step a B = 0 counting batch along the grid, one chunk of CHUNK steps at a time, in two phases.
+
+    Phase (a) finds and applies the chunk's counts. Without a field a step
+    with no count leaves a state as it is, so only the candidate steps of
+    the screen (u < alpha(t)^2 dt (1 + COUNT_SCREEN_TOL), or the record's
+    counts in a replay) can move a row. Each row's candidates are taken in
+    step order, in rounds: round r decides every row's r-th candidate from
+    that row's current (pre-count) means, with the same float expressions as
+    a per-step draw, then steps the rows that counted as one batch through
+    :func:`spinprobe.filters.increment` (which screens every count) and
+    ``finish_step``, and adds their loglik. The values after each count are
+    stored.
+
+    Phase (b) steps the collector through the chunk's grid steps from the
+    values at the chunk start, in a second copy of the batch: at each
+    count's step it writes the stored values into that row. Both copies end
+    the chunk equal, so each chunk starts from two equal copies. The
+    collector sees the same rows at every step as a per-step loop would.
+    """
+    gains = np.array(gain)   # 0.5 alpha(t)^2 dt, so 2 gains is alpha(t)^2 dt exactly
+    screen = gains * (2.0 * (1.0 + COUNT_SCREEN_TOL))
+    shown, shown_loglik = rho.copy(), loglik.copy()
+    for i0 in range(0, len(gain), CHUNK):
+        width = min(CHUNK, len(gain) - i0)
+        # phase (a): the candidates, each row's in step order
+        if noise is None:
+            codes = observations[:, i0 : i0 + width]
+            rows, steps = np.nonzero(codes)
+        else:
+            u = noise.chunk(i0)
+            rows, steps = np.nonzero(u < screen[i0 : i0 + width])
+            codes = np.zeros(u.shape, dtype=np.int8)
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)   # a candidate's place among its row's
+        after, after_loglik = rho.blank(len(rows)), np.empty(len(rows))   # each candidate's values after its count
+        counted = np.zeros(len(rows), dtype=bool)
+        for round_ in range(rank.max(initial=-1) + 1):
+            c = np.flatnonzero(rank == round_)
+            r, j = rows[c], steps[c]
+            if noise is None:
+                code = codes[r, j]
+            else:
+                q_xi, q_eta = gains[i0 + j] * rho.means[read, r]
+                code = _counts_of(u[r, j], q_xi, q_eta)
+                hit = np.flatnonzero(code)
+                if not hit.size:
+                    continue
+                c, r, j, code = c[hit], r[hit], j[hit], code[hit]
+                codes[r, j] = code
+            new, tr = finish_step(filters.increment("polarimetry", rho.take(r), code, None, kern))
+            rho.put(r, new)
+            loglik[r] += np.log(tr)
+            after.put(c, new)
+            after_loglik[c] = loglik[r]
+            counted[c] = True
+        # phase (b): the collector's steps, each count's stored values written at its step
+        order = np.argsort(steps, kind="stable")
+        order = order[counted[order]]   # the counts, in step order
+        bounds = np.searchsorted(steps[order], np.arange(width + 1)).tolist()
+        for j in range(width):
+            i = i0 + j
+            pred = None if noise is None else gain[i] * shown.means[read]
+            if bounds[j] < bounds[j + 1]:
+                c = order[bounds[j] : bounds[j + 1]]
+                r = rows[c]
+                shown.put(r, after, c)
+                shown_loglik[r] = after_loglik[c]
+            collector.step(i, codes[:, j], pred, shown, shown.means, shown_loglik)
 
 
 def _count_outputs(series, alpha):

@@ -198,6 +198,9 @@ def test_jump_bound_matches_the_loop_over_the_grid():
     verdicts = set()
     for sched in schedules:
         p = params_for(alpha=3.0, kappa=0.1, dt=dt, T=T, alpha_schedule=sched)
+        # the per-step drives that the propagation loop reads are alpha_of's at every step start
+        drives = p.alphas(p.time_grid()[:-1])
+        assert np.array_equal(drives, [p.alpha_of(i * dt) for i in range(p.n_steps)]), sched
         for times in (p.time_grid()[:-1], [last], [0.0], rng.uniform(0.0, T, 3)):
             want = _jump_bound_verdict(_jump_bound_by_loop, p, times)
             assert _jump_bound_verdict(check_jump_bound, p, times) == want, (sched, times)
@@ -545,7 +548,34 @@ def test_non_finite_dy_rejected(scheme, bad):
     # the step itself gives a NaN trace (the m = 0 level meets 0 * inf), which finish_step rejects
     rho0 = coherent_x_state(p.space).rho
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        finish_step(increment(scheme, rho0, bad, 0.0, p, build_kernels(p)))
+        finish_step(increment(scheme, rho0, bad, p.alpha_of(0.0), build_kernels(p)))
+
+
+@pytest.mark.parametrize("scheme", ["polarimetry", "homodyne", "limit"])
+@pytest.mark.parametrize("j,B", [(0.5, 0.0), (2.0, 0.0), (2.0, 0.5)])
+def test_run_filter_batch_equals_single_replays(scheme, j, B):
+    # a (batch, n) record replays as one batch with a leading batch axis, bit
+    # for bit the single replays; a single record still gives one row
+    p = params_for(j=j, alpha=6.0, kappa=0.3, B=B, dt=1e-3, T=0.1)
+    sim = {"polarimetry": traj.simulate_polarimetry, "homodyne": traj.simulate_homodyne,
+           "limit": traj.simulate_limit}[scheme]
+    obs = np.stack([getattr(sim(p, seed=s), "events" if scheme == "polarimetry" else "dy") for s in range(5)])
+    if scheme == "polarimetry":
+        assert np.count_nonzero(obs) >= 10
+    fields = ("fx", "fz", "fz2", "var_z", "purity", "loglik", "states")
+    for mode in ("linear", "normalized"):
+        batch = run_filter(scheme, mode, p, obs, keep_states=True)
+        assert np.array_equal(batch.t, p.time_grid())
+        for b, record in enumerate(obs):
+            one = run_filter(scheme, mode, p, record, keep_states=True)
+            for name in fields:
+                got, want = getattr(batch, name), getattr(one, name)
+                assert got.shape == (len(obs),) + want.shape and np.array_equal(got[b], want), (mode, name)
+            assert one.fx.shape == (p.n_steps + 1,)
+    assert run_filter(scheme, "linear", p, obs[:2]).states is None
+    for bad in (obs[:, :-1], obs[None], obs[0][:-1]):
+        with pytest.raises(ValueError, match="observation increments"):
+            run_filter(scheme, "linear", p, bad)
 
 
 def test_step_functions_match_run_filter():

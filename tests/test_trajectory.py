@@ -179,6 +179,51 @@ def test_terminals_pass_equals_full_pass(scheme, monkeypatch):
         traj.run_ensemble(p, scheme, 3, base_seed=1, snapshot_indices=[0, 5], series=False)
 
 
+def _same_bits(a, b):
+    """Whether two outputs (arrays, or dicts of them) hold the same dtypes and bits."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("j", [0.5, 5.0])
+@pytest.mark.parametrize("schedule", [None, ((0.0, 10.0), (0.1305, 4.0), (0.2, 10.0))])
+def test_counting_outputs_invariant_to_chunk(j, schedule, monkeypatch):
+    # B = 0 polarimetry decides its counts once per chunk of CHUNK steps, in
+    # rounds over each row's candidate steps; CHUNK = 1 is the per-step
+    # decision order. alpha^2 dt = 0.1 (the one-jump bound) makes rows count
+    # several times within one chunk. Ensembles (both passes, threads 1 and
+    # 3), records with states and linear replays keep every bit at any CHUNK,
+    # and the terminals pass keeps the full pass's terminals
+    from spinprobe.filters import run_filter
+
+    p = params_for(j=j, alpha=10.0, kappa=0.3, T=0.3, alpha_schedule=schedule)   # 300 steps
+    monkeypatch.setattr(traj, "BLOCK", 64)
+    fields = ("events", "fx", "fz", "fz2", "var_z", "purity", "loglik", "inn_xi", "inn_eta", "counts_xi", "states")
+
+    def outputs():
+        out = []
+        for threads in (1, 3):
+            full = traj.run_ensemble(p, "polarimetry", 150, base_seed=71, threads=threads)
+            ends = traj.run_ensemble(p, "polarimetry", 150, base_seed=71, threads=threads, series=False)
+            assert _same_bits(ends.terminals, full.terminals)
+            out += [full.terminals, full.series_mean, full.series_sem, full.mean_rho, full.sem_rho_frob]
+        records = traj._simulate_full("polarimetry", p, 73, None, True, list(range(6)))
+        out += [{name: getattr(rec, name) for name in fields} for rec in records]
+        replay = run_filter("polarimetry", "linear", p, np.stack([rec.events for rec in records]), keep_states=True)
+        out.append({name: getattr(replay, name) for name in ("fx", "fz", "var_z", "purity", "loglik", "states")})
+        return out
+
+    want = outputs()
+    counts = want[0]["counts_xi"] + want[0]["counts_eta"]
+    assert np.count_nonzero(counts >= 3) > 100   # rows count several times within one 128-step chunk
+    for chunk in (1, 7):
+        monkeypatch.setattr(traj, "CHUNK", chunk)
+        got = outputs()
+        assert all(_same_bits(a, b) for a, b in zip(got, want)), chunk
+
+
 @pytest.mark.parametrize("j", [0.5, 5.0])
 def test_no_count_step_leaves_state_unchanged(j):
     # at B = 0 a polarimetry step without a count leaves the filter state, its
