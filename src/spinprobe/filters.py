@@ -490,7 +490,7 @@ class _SharedFactor(NamedTuple):
         """The factor D o C_hat."""
         if self.D is None:   # built without moments: nothing read moves
             return self
-        W = self.W * sc.sums_factor[len(sc.sums_factor) - len(self.W) :]
+        W = self.W * sc.sums_factor[-len(self.W) :]   # 1 on every level row, so its tail fits W
         return _SharedFactor(self.D * sc.C_hat, self.p0, W, self.fx_w * sc.C_hat_sub, self.rows)
 
 

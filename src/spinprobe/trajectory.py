@@ -344,8 +344,9 @@ def _moments(rho, means, kern):
 
 def _per_drive(alphas, f):
     """[f(a) for a in alphas] as floats, with f evaluated once per distinct drive a."""
-    amps, which = np.unique(alphas, return_inverse=True)
-    return np.array([f(a) for a in amps.tolist()])[which].tolist()
+    alphas = alphas.tolist()
+    table = {a: f(a) for a in set(alphas)}
+    return [table[a] for a in alphas]
 
 
 def _counts_of(u, q_xi, q_eta):
