@@ -366,7 +366,7 @@ def cmd_ensemble(cfg: RunConfig, outdir, threads, per_trajectory=None):
     if per_trajectory:
         tdir = os.path.join(outdir, per_trajectory)
         os.makedirs(tdir, exist_ok=True)
-        for indices in traj._blocks(cfg.N):
+        for indices in traj._batches(cfg.N, cfg.N):
             for rec in traj._simulate_full(cfg.scheme, params, cfg.base_seed, rho0, False, indices):
                 tp = os.path.join(tdir, f"trajectory_{rec.traj_index:05d}.csv")
                 write_csv(

@@ -208,7 +208,6 @@ class FilterKernels:
     dim: int
     dt: float
     levels: np.ndarray        # F_z eigenvalues m, descending
-    s: np.ndarray             # sin(kappa m)
     level_rows: np.ndarray    # rows 1, m, m^2, s, (c+s)^2, (c-s)^2: the weights of one fused level sum
     count_rows: np.ndarray    # rows 1, c+s, c-s: the level factor of event code 0 (none), 1 (xi), 2 (eta)
     C_levels: Mapping         # alpha -> LevelSchur: the homodyne Schur factor of that drive
@@ -240,7 +239,6 @@ def build_kernels(params: ModelParams) -> FilterKernels:
         dim=space.dim,
         dt=params.dt,
         levels=m,
-        s=s,
         level_rows=np.stack([np.ones_like(c), m, m**2, s, (c + s) ** 2, (c - s) ** 2]),
         count_rows=np.stack([np.ones_like(c), c + s, c - s]),
         C_levels=MappingProxyType(C_levels),
@@ -653,7 +651,7 @@ def check_jump_bound(scheme, params: ModelParams, times):
 
     Whole runs pass their step grid, params.time_grid()[:-1]. The diffusive
     schemes have no jump-step bound and always pass. The drive at each time
-    is ModelParams.alphas's, by the rule of ModelParams.alpha_of.
+    is ModelParams.alphas's.
     """
     if scheme != "polarimetry":
         return

@@ -101,19 +101,11 @@ class ModelParams:
         return self.alpha**2 * self.kappa**2
 
     def alpha_of(self, t: float) -> float:
-        """The drive amplitude at t: the last schedule entry starting at or before t + GRID_TOL."""
-        if self.alpha_schedule is None:
-            return self.alpha
-        a = self.alpha_schedule[0][1]
-        for t0, amp in self.alpha_schedule:
-            if t0 <= t + GRID_TOL:
-                a = amp
-            else:
-                break
-        return a
+        """The drive amplitude at t, by the rule of :meth:`alphas`."""
+        return float(self.alphas(t))
 
     def alphas(self, times) -> np.ndarray:
-        """alpha_of at each of the times, resolved with one searchsorted over the schedule."""
+        """The drive amplitude at each of the times: the last schedule entry starting at or before t + GRID_TOL."""
         times = np.asarray(times, dtype=float)
         if self.alpha_schedule is None:
             return np.full(times.shape, self.alpha)
@@ -156,11 +148,11 @@ def _field(x, params: ModelParams, sign):
     return sign * 1j * params.B * (f_y @ x - x @ f_y)
 
 
-def _lindblad(x, params: ModelParams, t, sign):
-    """The finite-drive generator in the picture of the field sign; its dissipator is self-dual."""
+def _lindblad(x, params: ModelParams, a2, sign):
+    """The finite-drive generator at drive power a2, in the picture of the field sign; its dissipator is self-dual."""
     x = _check_dim(x.rho if isinstance(x, DensityState) else x, params)
     c, s = _cos_sin(params)   # diagonal, so S X S and C X C are elementwise: (s_i x_ij) s_j
-    out = params.drive_power(t) * ((s[:, None] * x) * s + (c[:, None] * x) * c - x)
+    out = a2 * ((s[:, None] * x) * s + (c[:, None] * x) * c - x)
     if params.B != 0.0:
         out = out + _field(x, params, sign)
     return out
@@ -172,12 +164,12 @@ def lindblad_heisenberg(x, params: ModelParams, t: float = 0.0) -> np.ndarray:
     L(X) = |f(t)|^2 (sin(kF_z) X sin(kF_z) + cos(kF_z) X cos(kF_z) - X),
     plus i B [F_y, X] for a nonzero applied field.
     """
-    return _lindblad(x, params, t, 1)
+    return _lindblad(x, params, params.drive_power(t), 1)
 
 
 def lindblad_schrodinger(rho, params: ModelParams, t: float = 0.0) -> np.ndarray:
     """Pre-adjoint of :func:`lindblad_heisenberg` on states; traceless output."""
-    return _lindblad(rho, params, t, -1)
+    return _lindblad(rho, params, params.drive_power(t), -1)
 
 
 def limit_lindblad(op, params: ModelParams, picture: str = "heisenberg") -> np.ndarray:
@@ -199,10 +191,11 @@ def limit_lindblad(op, params: ModelParams, picture: str = "heisenberg") -> np.n
 
 
 def _rhs(generator: str, params: ModelParams):
+    """The Schrodinger-picture generator as a function of (rho, drive amplitude a); the limit's reads params.M."""
     if generator == "finite":
-        return lambda rho, t: lindblad_schrodinger(rho, params, t)
+        return lambda rho, a: _lindblad(rho, params, a**2, -1)
     if generator == "limit":
-        return lambda rho, t: limit_lindblad(rho, params, picture="schrodinger")
+        return lambda rho, a: limit_lindblad(rho, params, picture="schrodinger")
     raise ValueError(f"unknown generator {generator!r}; expected 'finite' or 'limit'")
 
 
@@ -210,8 +203,11 @@ def master_evolve(rho0, params: ModelParams, generator: str = "finite"):
     """Integrate d(rho)/dt = L*(rho) with fixed-step classical RK4.
 
     Steps on the trajectory grid so that ensemble comparisons share time
-    points. A positivity breach beyond the eigenvalue floor rejects the run
-    (the step size is too large); drift within the floor is clipped.
+    points. Each step holds the drive at its start (ModelParams.alphas, as
+    the filters take it) over all four stages, so a scheduled switch acts
+    from the step that starts at it. A positivity breach beyond the
+    eigenvalue floor rejects the run (the step size is too large); drift
+    within the floor is clipped.
 
     Returns
     -------
@@ -227,20 +223,20 @@ def master_evolve(rho0, params: ModelParams, generator: str = "finite"):
     n = params.n_steps
     out = np.empty((n + 1, rho.shape[0], rho.shape[1]), dtype=complex)
     out[0] = rho
-    for i in range(n):
-        t = i * dt
-        k1 = rhs(rho, t)
-        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, t + dt)
+    times = params.time_grid()
+    for i, a in enumerate(params.alphas(times[:-1]).tolist()):
+        k1 = rhs(rho, a)
+        k2 = rhs(rho + 0.5 * dt * k1, a)
+        k3 = rhs(rho + 0.5 * dt * k2, a)
+        k4 = rhs(rho + dt * k3, a)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         w = np.linalg.eigvalsh(rho)
         if w[0] < -EPS_POS:
             raise ValueError(
-                f"positivity violated at t={t + dt:.6g} (min eigenvalue {w[0]:.3e}); reduce dt"
+                f"positivity violated at t={times[i + 1]:.6g} (min eigenvalue {w[0]:.3e}); reduce dt"
             )
         if w[0] < 0.0:
             rho = project_positive(rho, 0.0)
         out[i + 1] = rho
-    return params.time_grid(), out
+    return times, out

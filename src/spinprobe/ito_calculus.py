@@ -293,19 +293,8 @@ def qsde_coefficients(name: str, params, t: float = 0.0) -> QNoiseExpr:
             {dAstar("x"): f * eye, dA("x"): -np.conj(f) * eye, DT: -0.5 * fp * eye},
         ).prune()
 
-    if name == "U":
-        expr = qsde_coefficients("U0", params, t)
-        extra = QNoiseExpr(
-            dim,
-            "xy",
-            {
-                dAstar("x"): f * c,
-                dA("x"): -np.conj(f) * eye,
-                dAstar("y"): f * s,
-                DT: -0.5 * fp * eye,
-            },
-        )
-        return (expr + extra).prune()
+    if name == "U":   # the scattering U0 after the displacement Weyl
+        return qsde_product(qsde_coefficients("U0", params, t), qsde_coefficients("Weyl", params, t))
 
     if name == "Uprime":
         # Displaced picture: Weyl-adjoint composed with U. The dA[x]

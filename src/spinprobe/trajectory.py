@@ -24,12 +24,13 @@ therefore bit-identical for any thread count, and a replay or a
 per-trajectory record equals its ensemble row exactly.
 
 :func:`_simulate_block` is the one loop that steps filters along the time
-grid. It draws each step's observations from the Philox streams, or reads
-them from a given record, and hands every step to the one collector,
-:class:`_Collector`, which defines each output process once: the moments,
-the innovations, the counts or the integrated record y, and loglik. A
-record keeps every step of those series, an ensemble adds them up per
-slice and keeps the last step as its terminals, and
+grid. It walks the grid one chunk of :data:`CHUNK` steps at a time and
+takes each chunk's observations from one block: the Philox draws of the
+chunk, or the chunk of a given record. It hands every step to the one
+collector, :class:`_Collector`, which defines each output process once:
+the moments, the innovations, the counts or the integrated record y, and
+loglik. A record keeps every step of those series, an ensemble adds them
+up per slice and keeps the last step as its terminals, and
 :func:`spinprobe.filters.run_filter` replays records as one batch into a
 collector that keeps every step, reading the moments, loglik and
 states from the same rows as a record. Without a field (B = 0) the loop
@@ -42,21 +43,21 @@ field it carries the (batch, d, d) matrices, takes the matrix step, which
 is the reference for the level representation, and reads the same means
 from one level sum over the diagonals.
 
-A counting run without a field goes chunk by chunk, CHUNK steps at a
-time, in two phases. The no-count drift is the identity (L_xi^2 + L_eta^2
-= 2) and the total count probability alpha(t)^2 dt does not depend on the
-state, so only the steps whose uniform lies below it (with a margin for
-rounding, COUNT_SCREEN_TOL) can count. Phase (a) decides those candidates
-for each row in step order, in batched rounds, with the per-step decision
-rule and the pre-count means, and steps the rows that counted through
-:func:`spinprobe.filters.increment` and ``finish_step``; it stores each
-row's values after each count. Phase (b) then steps the collector through
-the chunk's grid steps from the chunk start, writing each count's stored
-values into its row at its step; every other row keeps its weights,
-moments and loglik bit for bit. The collector still writes every row at
-every step, in the same reduction order, so the outputs are the bits of a
-per-step loop at any CHUNK. A replay takes the same two phases, with the
-record's counts as the candidates.
+A counting run without a field decides each chunk's counts before it
+steps through the chunk. The no-count drift is the identity (L_xi^2 +
+L_eta^2 = 2) and the total count probability alpha(t)^2 dt does not
+depend on the state, so only the steps whose uniform lies below it (with
+a margin for rounding, COUNT_SCREEN_TOL) can count; in a replay, only the
+record's counts. :func:`_count_chunk` decides those candidates for each
+row in step order, in batched rounds, with the per-step decision rule and
+the pre-count means, on a working copy of the batch, and steps the rows
+that counted through :func:`spinprobe.filters.increment` and
+``finish_step``, storing each count's post-count values. The per-step
+loop then takes no filter step on such a run: at each count's step it
+writes the stored values into that row of the batch the collector reads,
+and every other row keeps its weights, moments and loglik bit for bit.
+The collector still writes every row at every step, in the same reduction
+order, so the outputs are the bits of a per-step decision at any CHUNK.
 
 ``run_ensemble(..., series=False)`` is a terminals pass, for outputs that
 read only each trajectory's last cumulative values (the ``charfunc``
@@ -284,7 +285,7 @@ class _Collector:
 
 
 class _Noise:
-    """The Philox draws of a batch, read step by step and drawn CHUNK steps at a time.
+    """The Philox draws of a batch, drawn CHUNK steps at a time.
 
     Each trajectory's stream continues from chunk to chunk, so the draws
     equal trajectory_rng(base_seed, i).random(n) (counting) or
@@ -297,13 +298,6 @@ class _Noise:
         self._draws = [getattr(trajectory_rng(base_seed, i), method) for i in indices]
         self._buf = np.empty((len(self._draws), min(CHUNK, n)))
         self._n = n
-
-    def __call__(self, i):
-        """The (batch,) draws of step i; steps must be read in order from 0."""
-        j = i % CHUNK
-        if j == 0:
-            self.chunk(i)
-        return self._buf[:, j]
 
     def chunk(self, i):
         """The (batch, width) draws of the chunk of steps from i; chunks must be read in order from 0."""
@@ -344,7 +338,6 @@ def _moments(rho, means, kern):
 
 def _per_drive(alphas, f):
     """[f(a) for a in alphas] as floats, with f evaluated once per distinct drive a."""
-    alphas = alphas.tolist()
     table = {a: f(a) for a in set(alphas)}
     return [table[a] for a in alphas]
 
@@ -362,7 +355,7 @@ COUNT_SCREEN_TOL = 1e-9
 
 
 def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observations=None):
-    """Advance a batch of trajectories along the time grid.
+    """Advance a batch of trajectories along the time grid, one chunk of CHUNK steps at a time.
 
     Without observations, each step's observation is sampled from the
     predictive law with one noise draw per trajectory, and each step hands
@@ -374,8 +367,9 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     whose alpha^2 dt exceeds the one-jump bound raises ValueError. The
     drive of every step is resolved once, by ModelParams.alphas.
 
-    A counting run without a field goes chunk by chunk (_count_by_chunk);
-    every other run steps the whole batch once per grid step.
+    A counting run without a field decides and applies each chunk's counts
+    first (_count_chunk); its steps then write the stored post-count rows
+    instead of stepping the batch.
     """
     grid = params.time_grid()[:-1]
     filters.check_jump_bound(scheme, params, grid)
@@ -385,50 +379,56 @@ def _simulate_block(scheme, params, base_seed, indices, rho0, collector, observa
     batch = len(indices)
     if kern.U is None:   # B = 0: d level weights per trajectory
         rho = filters.LevelState.initial(rho0, batch, kern, scheme, collector.moments)
-        rows = rho.shared.rows   # the LEVEL_ROWS of the means, in order
+        mean_rows = rho.shared.rows   # the LEVEL_ROWS of the means, in order
     else:
         rho = np.broadcast_to(rho0, (batch, kern.dim, kern.dim)).copy()
-        rows = tuple(range(1, len(filters.LEVEL_ROWS)))
-    alphas = params.alphas(grid)
+        mean_rows = tuple(range(1, len(filters.LEVEL_ROWS)))
+    alphas = params.alphas(grid).tolist()
     gain = _per_drive(alphas, {   # each step's prediction over its means, as the scalar expressions give it
         "polarimetry": lambda a: 0.5 * a**2 * dt,   # the count probabilities
         "homodyne": lambda a: 2.0 * a * dt,   # the drift times dt
         "limit": lambda a: 2.0 * kern.sqrt_M * dt,
     }[scheme])
     pred_rows = filters.PREDICTION_ROWS[scheme]
-    at = rows.index(pred_rows[0])
+    at = mean_rows.index(pred_rows[0])
     read = at if len(pred_rows) == 1 else slice(at, at + len(pred_rows))   # the prediction's rows of the means
 
     noise = None if observations is not None else _Noise(scheme, base_seed, indices, len(grid))
-
     loglik = np.zeros(batch)
     means = _means(rho, kern)
     collector.start(kern, rho, means, loglik)
-    if scheme == "polarimetry" and kern.U is None:
-        _count_by_chunk(rho, loglik, collector, gain, read, kern, noise, observations)
-        return collector
-
+    counts = scheme == "polarimetry" and kern.U is None
+    if counts:   # _count_chunk steps this copy a chunk ahead; the loop's batch equals it again at the chunk's end
+        work, work_loglik = rho.copy(), loglik.copy()
     sqdt = np.sqrt(dt)
-    for i, a in enumerate(alphas.tolist()):
-        if noise is None:   # a replay reads the record and needs no prediction
-            obs, pred = observations[:, i], None
-        elif scheme == "polarimetry":
-            pred = q_xi, q_eta = gain[i] * means[read]   # predicted count probabilities
-            obs = _counts_of(noise(i), q_xi, q_eta)
-        else:
-            pred = gain[i] * means[read]
-            obs = pred + sqdt * noise(i)
-        rho, tr = finish_step(filters.increment(scheme, rho, obs, a, kern))
-        loglik = loglik + np.log(tr)
-        means = _means(rho, kern)
-        collector.step(i, obs, pred, rho, means, loglik)
+    for i0 in range(0, len(grid), CHUNK):
+        block = noise.chunk(i0) if observations is None else observations[:, i0 : i0 + CHUNK]
+        if counts:
+            block, rows, order, bounds, after, after_loglik = _count_chunk(
+                work, work_loglik, block, noise is None, gain[i0 : i0 + CHUNK], read, kern)
+        for j, a in enumerate(alphas[i0 : i0 + CHUNK]):
+            i = i0 + j
+            pred = None if noise is None else gain[i] * means[read]   # a replay needs no prediction
+            obs = block[:, j]
+            if not counts:
+                if noise is not None:
+                    obs = _counts_of(obs, *pred) if scheme == "polarimetry" else pred + sqdt * obs
+                rho, tr = finish_step(filters.increment(scheme, rho, obs, a, kern))
+                loglik = loglik + np.log(tr)
+                means = _means(rho, kern)
+            elif bounds[j] < bounds[j + 1]:   # write the stored values of this step's counts into their rows
+                c = order[bounds[j] : bounds[j + 1]]
+                rho.put(rows[c], after, c)
+                loglik[rows[c]] = after_loglik[c]
+            collector.step(i, obs, pred, rho, means, loglik)
     return collector
 
 
-def _count_by_chunk(rho, loglik, collector, gain, read, kern, noise, observations):
-    """Step a B = 0 counting batch along the grid, one chunk of CHUNK steps at a time, in two phases.
+def _count_chunk(rho, loglik, block, replay, gain, read, kern):
+    """Decide and apply the counts of a B = 0 counting batch over one chunk of steps, in place.
 
-    Phase (a) finds and applies the chunk's counts. Without a field a step
+    block is the chunk's (batch, width) uniforms, or its event codes in a
+    replay, and gain the chunk's 0.5 alpha(t)^2 dt. Without a field a step
     with no count leaves a state as it is, so only the candidate steps of
     the screen (u < alpha(t)^2 dt (1 + COUNT_SCREEN_TOL), or the record's
     counts in a replay) can move a row. Each row's candidates are taken in
@@ -436,63 +436,46 @@ def _count_by_chunk(rho, loglik, collector, gain, read, kern, noise, observation
     that row's current (pre-count) means, with the same float expressions as
     a per-step draw, then steps the rows that counted as one batch through
     :func:`spinprobe.filters.increment` (which screens every count) and
-    ``finish_step``, and adds their loglik. The values after each count are
-    stored.
+    ``finish_step``, and adds their loglik.
 
-    Phase (b) steps the collector through the chunk's grid steps from the
-    values at the chunk start, in a second copy of the batch: at each
-    count's step it writes the stored values into that row. Both copies end
-    the chunk equal, so each chunk starts from two equal copies. The
-    collector sees the same rows at every step as a per-step loop would.
+    Returns (codes, rows, order, bounds, after, after_loglik): the chunk's
+    (batch, width) event codes, each candidate's row, the candidates that
+    counted in step order, with those of step j at order[bounds[j] :
+    bounds[j + 1]], and each candidate's values after its count.
     """
-    gains = np.array(gain)   # 0.5 alpha(t)^2 dt, so 2 gains is alpha(t)^2 dt exactly
-    screen = gains * (2.0 * (1.0 + COUNT_SCREEN_TOL))
-    shown, shown_loglik = rho.copy(), loglik.copy()
-    for i0 in range(0, len(gain), CHUNK):
-        width = min(CHUNK, len(gain) - i0)
-        # phase (a): the candidates, each row's in step order
-        if noise is None:
-            codes = observations[:, i0 : i0 + width]
-            rows, steps = np.nonzero(codes)
+    gains = np.array(gain)   # 2 gains is alpha(t)^2 dt exactly
+    if replay:
+        codes = block
+        rows, steps = np.nonzero(codes)
+    else:
+        rows, steps = np.nonzero(block < gains * (2.0 * (1.0 + COUNT_SCREEN_TOL)))
+        codes = np.zeros(block.shape, dtype=np.int8)
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)   # a candidate's place among its row's
+    after, after_loglik = rho.blank(len(rows)), np.empty(len(rows))
+    counted = np.zeros(len(rows), dtype=bool)
+    for round_ in range(rank.max(initial=-1) + 1):
+        c = np.flatnonzero(rank == round_)
+        r, j = rows[c], steps[c]
+        if replay:
+            code = codes[r, j]
         else:
-            u = noise.chunk(i0)
-            rows, steps = np.nonzero(u < screen[i0 : i0 + width])
-            codes = np.zeros(u.shape, dtype=np.int8)
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)   # a candidate's place among its row's
-        after, after_loglik = rho.blank(len(rows)), np.empty(len(rows))   # each candidate's values after its count
-        counted = np.zeros(len(rows), dtype=bool)
-        for round_ in range(rank.max(initial=-1) + 1):
-            c = np.flatnonzero(rank == round_)
-            r, j = rows[c], steps[c]
-            if noise is None:
-                code = codes[r, j]
-            else:
-                q_xi, q_eta = gains[i0 + j] * rho.means[read, r]
-                code = _counts_of(u[r, j], q_xi, q_eta)
-                hit = np.flatnonzero(code)
-                if not hit.size:
-                    continue
-                c, r, j, code = c[hit], r[hit], j[hit], code[hit]
-                codes[r, j] = code
-            new, tr = finish_step(filters.increment("polarimetry", rho.take(r), code, None, kern))
-            rho.put(r, new)
-            loglik[r] += np.log(tr)
-            after.put(c, new)
-            after_loglik[c] = loglik[r]
-            counted[c] = True
-        # phase (b): the collector's steps, each count's stored values written at its step
-        order = np.argsort(steps, kind="stable")
-        order = order[counted[order]]   # the counts, in step order
-        bounds = np.searchsorted(steps[order], np.arange(width + 1)).tolist()
-        for j in range(width):
-            i = i0 + j
-            pred = None if noise is None else gain[i] * shown.means[read]
-            if bounds[j] < bounds[j + 1]:
-                c = order[bounds[j] : bounds[j + 1]]
-                r = rows[c]
-                shown.put(r, after, c)
-                shown_loglik[r] = after_loglik[c]
-            collector.step(i, codes[:, j], pred, shown, shown.means, shown_loglik)
+            q_xi, q_eta = gains[j] * rho.means[read, r]
+            code = _counts_of(block[r, j], q_xi, q_eta)
+            hit = np.flatnonzero(code)
+            if not hit.size:
+                continue
+            c, r, j, code = c[hit], r[hit], j[hit], code[hit]
+            codes[r, j] = code
+        new, tr = finish_step(filters.increment("polarimetry", rho.take(r), code, None, kern))
+        rho.put(r, new)
+        loglik[r] += np.log(tr)
+        after.put(c, new)
+        after_loglik[c] = loglik[r]
+        counted[c] = True
+    order = np.argsort(steps, kind="stable")
+    order = order[counted[order]]   # the counts, in step order
+    bounds = np.searchsorted(steps[order], np.arange(len(gain) + 1)).tolist()
+    return codes, rows, order, bounds, after, after_loglik
 
 
 def _count_outputs(series, alpha):
@@ -541,11 +524,6 @@ def simulate_homodyne(params: ModelParams, seed: int, rho0=None, keep_states=Fal
 def simulate_limit(params: ModelParams, seed: int, rho0=None, keep_states=False) -> TrajectoryRecord:
     """Co-simulate one strong-driving-limit record: dy = 2 sqrt(M) pi(F_z) dt + dW."""
     return _simulate_full("limit", params, seed, rho0, keep_states, [0])[0]
-
-
-def _blocks(N):
-    """The fixed partition of trajectory indices 0..N-1 into reduction slices of BLOCK rows."""
-    return [list(range(b, min(b + BLOCK, N))) for b in range(0, N, BLOCK)]
 
 
 def _batches(N, threads):

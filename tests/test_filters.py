@@ -308,8 +308,9 @@ def test_normalized_step_consistent_with_innovations_form():
         dy = float(np.sqrt(dt) * g)
         st = FilterState(rho.copy(), "homodyne", "normalized")
         ours = step(st, ObservationIncrement.diffusive(dy, dt), p).rho
-        s_exp = np.trace(rho @ np.diag(kern.s)).real
-        coupling = np.add.outer(kern.s, kern.s) * rho - 2 * s_exp * rho
+        s = kern.level_rows[3]   # sin(kappa m)
+        s_exp = np.trace(rho @ np.diag(s)).real
+        coupling = np.add.outer(s, s) * rho - 2 * s_exp * rho
         literal = (
             rho
             + lindblad_schrodinger(rho, p) * dt

@@ -189,3 +189,18 @@ def test_master_dimension_mismatch():
     p = params_for(j=1.0)
     with pytest.raises(ValueError):
         master_evolve(np.eye(2) / 2, p)
+
+
+@pytest.mark.parametrize("generator", ["finite", "limit"])
+def test_master_schedule_switch_equals_joined_constant_runs(generator):
+    # each RK4 step holds the drive at its start, so a switch at t = 0.3 acts
+    # from step 30 on: the scheduled run is two constant-drive runs joined at
+    # t = 0.3, bit for bit (the limit generator reads params.M, not the schedule)
+    kw = dict(j=2.0, kappa=0.3, dt=0.01)
+    rho0 = coherent_x_state(SpinSpace.from_j(2.0)).rho
+    _, states = master_evolve(rho0, params_for(alpha=3.0, T=0.6, alpha_schedule=((0.0, 3.0), (0.3, 6.0)), **kw),
+                              generator)
+    _, head = master_evolve(rho0, params_for(alpha=3.0, T=0.3, **kw), generator)
+    tail_alpha = 6.0 if generator == "finite" else 3.0
+    _, tail = master_evolve(head[-1], params_for(alpha=tail_alpha, T=0.3, **kw), generator)
+    assert np.array_equal(states, np.concatenate([head, tail[1:]]))
